@@ -168,7 +168,7 @@ class LocalLawConfig:
                    domain=DomainTemplate(**d.get("domain", {})),
                    replications=int(d.get("replications", 20)),
                    C0=float(d.get("C0", 1.0)),
-                   max_entry_stride=int(d.get("max_entry_stride", 0)))
+                   max_entry_stride=int(d.get("max_entry_stride", cls.max_entry_stride)))
 
 
 @dataclass(frozen=True)
@@ -463,14 +463,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     cfg_cls, runner = _COMMANDS[args.command]
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg = cfg_cls.from_dict(raw)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+            cfg = cfg_cls.from_dict(raw)
+        except (FileNotFoundError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            # only a missing or malformed config is a parameter error; the
+            # same exceptions from inside a command are bugs and propagate
+            raise ParameterError(str(exc)) from exc
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return runner(cfg, out_dir, args.workers)
-    except (ParameterError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            TypeError) as exc:
+    except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMS
     except (IdentityFailureError, QuadratureError, NumericalError,

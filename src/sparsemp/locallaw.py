@@ -32,8 +32,8 @@ from .mc import map_replications
 from .model import ModelParams, SampledMatrix, sample_matrix
 from .mplaw import (ComplexPoint, DomainSpec, _as_complex, _check_y, _u_band,
                     domain_grid, gamma_n, stieltjes_mp)
-from .spectral import (SpectrumResult, resolvent_max_abs, singular_values,
-                       stieltjes_esd)
+from .spectral import (SpectrumResult, _diag_factors, resolvent_max_abs,
+                       singular_values, stieltjes_esd)
 
 ROW = "row"
 COLUMN = "column"
@@ -49,6 +49,9 @@ _CONVENTION_MENU = (CORRECTION_SIGNS,) + tuple(
     for sa in (1.0, -1.0) for sb in (1.0, -1.0) for sc in (1.0, -1.0)
     if (sa, sb, sc) != CORRECTION_SIGNS
 )
+
+# rows of the off-diagonal block R_12 held at once by the correction terms
+_SCHUR_BLOCK = 256
 
 
 def lambda_n(spec: SpectrumResult, z: "ComplexPoint | complex", y: float) -> complex:
@@ -80,77 +83,51 @@ class CorrectionReport:
         return self.eps1 + sb * (self.eps2 + self.eps3)
 
 
-def _minor_svd(scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    return u, s, vt.T
+def _correction_arrays(x: SampledMatrix, spec: SpectrumResult, z: complex, p: float,
+                       side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Correction terms eps_1..3 and the diagonal R entry for every index of a side.
 
-
-def _corner_trace(s: np.ndarray, z: complex, dim: int) -> complex:
-    # trace of a corner block: sum_k s_k^2/(z (s_k^2 - z^2)) - dim/z
-    return complex(np.sum(s * s / (z * (s * s - z * z))) - dim / z)
-
-
-def _corner_diag(vectors: np.ndarray, s: np.ndarray, z: complex) -> np.ndarray:
-    d_proj = s * s / (z * (s * s - z * z))
-    return (vectors * vectors) @ d_proj - 1.0 / z
-
-
-def _quadratic_form(vectors: np.ndarray, s: np.ndarray, z: complex,
-                    w: np.ndarray) -> complex:
-    d_proj = s * s / (z * (s * s - z * z))
-    proj = vectors.T @ w
-    return complex(np.sum(d_proj * proj * proj) - (w @ w) / z)
-
-
-def _corrections(x: SampledMatrix, spec: SpectrumResult, z: complex, p: float,
-                 j: int, side: str) -> tuple[complex, complex, complex, complex]:
-    """Correction terms for one row/column index, plus the diagonal R entry.
-
-    Raw (unscaled) entries and the mask enter with the explicit 1/(m p)
-    weights; the minor resolvent is rebuilt from a fresh SVD of the deleted
-    matrix.
+    Deleting row j of X deletes index j of the block matrix, so the minor
+    resolvent follows from the full one by the Schur downdate
+    R^(j)_ab = R_ab - R_aj R_jb / R_jj; no minor is ever factorized.  For the
+    row side, with A = U diag(s / (s^2 - z^2)) the off-diagonal block is
+    B = A W^T, and the column corner of the minor has trace
+    tr R_22 - |A_j|^2 / R_jj and diagonal diag R_22 - B_j^2 / R_jj.  The
+    column side swaps U and W.  Raw (unscaled) entries and the mask enter
+    with the explicit 1/(m p) weights; eps_1 carries 1/m on both sides.
     """
-    n, m = x.n, x.m
-    mp_weight = m * p
-    s_full = spec.singulars
     if side == ROW:
-        if not (0 <= j < n):
-            raise IndexError(f"row index {j} out of range [0, {n})")
-        keep = np.arange(n) != j
-        u_m, s_m, w_m = _minor_svd(x.scaled[keep])
-        # column-block quantities of the minor resolvent
-        trace_full = _corner_trace(s_full, z, m)
-        trace_minor = _corner_trace(s_m, z, m)
-        diag_minor = _corner_diag(w_m, s_m, z)
-        raw_line = x.raw[j]
-        mask_line = x.mask[j].astype(np.float64)
-        w_vec = raw_line * mask_line
-        quad = _quadratic_form(w_m, s_m, z, w_vec)
-        uj = spec.left_vectors[j]
-        r_diag = complex(np.sum(uj * uj * (z / (s_full * s_full - z * z))))
+        own, other = spec.left_vectors, spec.right_vectors
+        raw, mask = x.raw, x.mask
     elif side == COLUMN:
-        if not (0 <= j < m):
-            raise IndexError(f"column index {j} out of range [0, {m})")
-        keep = np.arange(m) != j
-        u_m, s_m, w_m = _minor_svd(x.scaled[:, keep])
-        # row-block quantities of the minor resolvent
-        trace_full = _corner_trace(s_full, z, n)
-        trace_minor = _corner_trace(s_m, z, n)
-        diag_minor = _corner_diag(u_m, s_m, z)
-        raw_line = x.raw[:, j]
-        mask_line = x.mask[:, j].astype(np.float64)
-        w_vec = raw_line * mask_line
-        quad = _quadratic_form(u_m, s_m, z, w_vec)
-        wl = spec.right_vectors[j]
-        r_diag = complex(np.sum(wl * wl * (s_full * s_full / (z * (s_full * s_full - z * z))))
-                         - 1.0 / z)
+        own, other = spec.right_vectors, spec.left_vectors
+        raw, mask = x.raw.T, x.mask.T
     else:
         raise ParameterError(f"side must be {ROW!r} or {COLUMN!r}, got {side!r}")
-
-    eps1 = (trace_full - trace_minor) / m
-    centered = raw_line * raw_line * mask_line - p
-    eps2 = complex(centered @ diag_minor) / mp_weight
-    eps3 = (quad - complex((w_vec * w_vec) @ diag_minor)) / mp_weight
+    mp_weight = x.m * p
+    d_proj, d_mid = _diag_factors(spec.singulars, z)
+    a = own * d_mid
+    r_diag = (own * own) @ d_proj - 1.0 / z
+    corner_diag = (other * other) @ d_proj - 1.0 / z   # opposite corner, full matrix
+    w = raw * mask
+    w2 = w * w
+    centered = raw * w - p
+    proj = w @ other
+    quad = (proj * proj) @ d_proj - w2.sum(axis=1) / z
+    bw = np.einsum("ij,ij->i", a, proj)                 # B_j . w_j
+    # row sums of B_j^2 weighted by the centered squares and by w_j^2,
+    # blocked so that B never exceeds _SCHUR_BLOCK rows
+    b2_centered = np.empty(r_diag.shape, dtype=np.complex128)
+    b2_w2 = np.empty(r_diag.shape, dtype=np.complex128)
+    for lo in range(0, r_diag.size, _SCHUR_BLOCK):
+        hi = lo + _SCHUR_BLOCK
+        b = a[lo:hi] @ other.T
+        b *= b
+        b2_centered[lo:hi] = np.einsum("ij,ij->i", centered[lo:hi], b)
+        b2_w2[lo:hi] = np.einsum("ij,ij->i", w2[lo:hi], b)
+    eps1 = np.einsum("ij,ij->i", a, a) / (r_diag * x.m)
+    eps2 = (centered @ corner_diag - b2_centered / r_diag) / mp_weight
+    eps3 = (quad - bw * bw / r_diag - (w2 @ corner_diag - b2_w2 / r_diag)) / mp_weight
     return eps1, eps2, eps3, r_diag
 
 
@@ -161,8 +138,9 @@ def _identity_base(z: complex, y: float, side: str) -> complex:
     return -1.0 / (z + y * S)
 
 
-def _identity_residual(base: complex, r_diag: complex, eps: tuple[complex, complex, complex],
-                       lam: complex, y: float, signs: tuple[float, float, float]) -> float:
+def _identity_residual(base: complex, r_diag, eps, lam: complex, y: float,
+                       signs: tuple[float, float, float]):
+    """|R_jj - base (1 + ...)| for one index (scalars) or all of them (arrays)."""
     sa, sb, sc = signs
     eff = eps[0] + sb * (eps[1] + eps[2])
     return abs(r_diag - base * (1.0 + sa * eff * r_diag + sc * y * lam * r_diag))
@@ -182,12 +160,22 @@ def correction_terms(x: SampledMatrix, z: "ComplexPoint | complex", j: int,
         if p <= 0.0:
             raise ParameterError("cannot infer p from an all-zero mask; pass p explicitly")
     y = x.n / x.m
-    e1, e2, e3, r_diag = _corrections(x, spec, zc, p, j, side)
+    eps1, eps2, eps3, r_diags = _correction_arrays(x, spec, zc, p, side)
+    if not (0 <= j < r_diags.size):
+        raise IndexError(f"{side} index {j} out of range [0, {r_diags.size})")
+    e1, e2, e3, r_diag = (complex(a[j]) for a in (eps1, eps2, eps3, r_diags))
     lam = lambda_n(spec, zc, y)
     base = _identity_base(zc, y, side)
     resid = _identity_residual(base, r_diag, (e1, e2, e3), lam, y, CORRECTION_SIGNS)
     return CorrectionReport(j=j, row_kind=side, eps1=e1, eps2=e2, eps3=e3,
                             r_diag=r_diag, identity_residual=resid)
+
+
+def _t_n(eps1: np.ndarray, eps2: np.ndarray, eps3: np.ndarray,
+         r_diag: np.ndarray) -> complex:
+    """T_n = (1/n) sum_j eps_j R_jj under the frozen sign convention."""
+    _, sb, _ = CORRECTION_SIGNS
+    return complex(np.mean((eps1 + sb * (eps2 + eps3)) * r_diag))
 
 
 @dataclass(frozen=True)
@@ -230,8 +218,6 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex", y: flo
     """
     zc = _as_complex(z)
     _check_y(y)
-    if x.n > 200:
-        raise ParameterError(f"audit recomputes n minors; capped at n <= 200, got n={x.n}")
     if p is None:
         p = float(x.mask.mean())
         if p <= 0.0:
@@ -242,16 +228,10 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex", y: flo
     lam = s_n - S
     base = _identity_base(zc, y, ROW)
 
-    per_j: list[tuple[complex, complex, complex, complex]] = []
-    for j in range(x.n):
-        per_j.append(_corrections(x, spec, zc, p, j, ROW))
-
-    worst = {signs: 0.0 for signs in _CONVENTION_MENU}
-    for e1, e2, e3, r_diag in per_j:
-        for signs in _CONVENTION_MENU:
-            resid = _identity_residual(base, r_diag, (e1, e2, e3), lam, y, signs)
-            if resid > worst[signs]:
-                worst[signs] = resid
+    eps1, eps2, eps3, r_diag = _correction_arrays(x, spec, zc, p, ROW)
+    eps = (eps1, eps2, eps3)
+    worst = {signs: float(np.max(_identity_residual(base, r_diag, eps, lam, y, signs)))
+             for signs in _CONVENTION_MENU}
     winner = min(worst, key=lambda k: worst[k])
     if worst[winner] > tol:
         raise IdentityFailureError(
@@ -259,31 +239,24 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex", y: flo
             f"under {winner}"
         )
 
+    residuals = _identity_residual(base, r_diag, eps, lam, y, winner)
     reports = tuple(
-        CorrectionReport(j=j, row_kind=ROW, eps1=e1, eps2=e2, eps3=e3, r_diag=r_diag,
-                         identity_residual=_identity_residual(
-                             base, r_diag, (e1, e2, e3), lam, y, winner))
-        for j, (e1, e2, e3, r_diag) in enumerate(per_j)
+        CorrectionReport(j=j, row_kind=ROW, eps1=complex(eps1[j]), eps2=complex(eps2[j]),
+                         eps3=complex(eps3[j]), r_diag=complex(r_diag[j]),
+                         identity_residual=float(residuals[j]))
+        for j in range(x.n)
     )
-    _, sb, _ = CORRECTION_SIGNS
-    t_n = sum((e1 + sb * (e2 + e3)) * r for e1, e2, e3, r in per_j) / x.n
+    t_n = _t_n(eps1, eps2, eps3, r_diag)
     residual_exact = abs(s_n - S * (1.0 - t_n + y * lam * s_n))
     residual_flipped = abs(s_n - S * (1.0 + t_n - y * lam * s_n))
-    return AuditResult(reports=reports, convention=winner, t_n=complex(t_n),
+    return AuditResult(reports=reports, convention=winner, t_n=t_n,
                        residual_exact=residual_exact, residual_flipped=residual_flipped)
 
 
 def error_term_tn(x: SampledMatrix, z: "ComplexPoint | complex", y: float,
                   p: float) -> complex:
     """T_n = (1/n) sum_j eps_j R_jj under the frozen sign convention."""
-    zc = _as_complex(z)
-    spec = singular_values(x)
-    _, sb, _ = CORRECTION_SIGNS
-    acc = 0.0 + 0.0j
-    for j in range(x.n):
-        e1, e2, e3, r_diag = _corrections(x, spec, zc, p, j, ROW)
-        acc += (e1 + sb * (e2 + e3)) * r_diag
-    return acc / x.n
+    return _t_n(*_correction_arrays(x, singular_values(x), _as_complex(z), p, ROW))
 
 
 @dataclass(frozen=True)
@@ -511,8 +484,6 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
     level.  Reported against the envelope ((1/(nv) + 1/(np)) log n)^q at
     C = 1, together with the fitted C.
     """
-    if params.n > 200:
-        raise ParameterError(f"T_n study recomputes n minors; capped at n <= 200, got {params.n}")
     if q not in (0, 2, 4):
         raise ParameterError(f"q must be one of 0, 2, 4, got {q!r}")
     if replications < 1000:
@@ -534,12 +505,7 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
             return None
         if q == 0:
             return 1.0
-        _, sb, _ = CORRECTION_SIGNS
-        acc = 0.0 + 0.0j
-        for j in range(params.n):
-            e1, e2, e3, r_diag = _corrections(x, spec, zc, params.p, j, ROW)
-            acc += (e1 + sb * (e2 + e3)) * r_diag
-        return abs(acc / params.n) ** q
+        return abs(_t_n(*_correction_arrays(x, spec, zc, params.p, ROW))) ** q
 
     values = [val for val in map_replications(one, replications, workers) if val is not None]
     if not values:

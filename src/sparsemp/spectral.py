@@ -170,7 +170,6 @@ def resolvent_max_abs(spec: SpectrumResult, z: "ComplexPoint | complex",
             block[np.arange(lo, hi) - lo, np.arange(lo, hi)] -= 1.0 / zc
             best = max(best, float(np.abs(block).max()))
     scaled = u * d_mid
-    m = w.shape[0]
     for lo in range(0, u.shape[0], chunk):
         hi = min(lo + chunk, u.shape[0])
         block = scaled[lo:hi] @ w.T

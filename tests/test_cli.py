@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import sparsemp as sm
+from sparsemp import cli
 from sparsemp.cli import (AuditConfig, ConcentrationConfig, ConfigAnalyzeConfig,
                           DomainTemplate, LocalLawConfig, SpectrumConfig,
                           SweepConfig, TnMomentsConfig, main)
@@ -93,6 +94,12 @@ def test_locallaw_sweep_outputs(tmp_path):
     assert read_all(out) == read_all(out2)
 
 
+def test_locallaw_stride_defaults_to_library():
+    payload = _locallaw_payload()
+    del payload["max_entry_stride"]
+    assert LocalLawConfig.from_dict(payload).max_entry_stride == 10
+
+
 def test_locallaw_empty_grid_exit_2(tmp_path):
     cfg = write_cfg(tmp_path, "ll0.json", _locallaw_payload(grid_u=0))
     assert main(["locallaw", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 2
@@ -159,6 +166,16 @@ def test_audit_exit_zero_and_report(tmp_path):
     assert report["max_residual"] < 1e-8
     assert report["convention"] == [-1.0, -1.0, 1.0]
     assert len(report["rows"]) == 50
+
+
+def test_command_type_error_is_not_a_parameter_error(tmp_path, monkeypatch):
+    def broken(cfg, out_dir, workers):
+        raise TypeError("bug inside the command")
+
+    monkeypatch.setitem(cli._COMMANDS, "audit", (AuditConfig, broken))
+    cfg = write_cfg(tmp_path, "audit.json", {"model": MODEL})
+    with pytest.raises(TypeError):
+        main(["audit", "--config", cfg, "--out-dir", str(tmp_path / "o")])
 
 
 def test_tn_moments_q0(tmp_path):

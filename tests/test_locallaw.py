@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsemp as sm
 from sparsemp import (CORRECTION_SIGNS, ComplexPoint, DomainSpec,
@@ -67,20 +69,24 @@ def test_lambda_dense_calibration_large_n():
 @pytest.mark.parametrize("side", ["row", "column"])
 def test_correction_terms_against_dense_oracle(side):
     rng = np.random.default_rng(8)
-    for trial in range(4):
-        n, m = 2 + trial % 2, 4
-        params = gaussian_params(n, m, 0.7, seed=100 + trial)
-        x = sm.sample_matrix(params, 0)
+    samples = [sm.sample_matrix(gaussian_params(2 + trial % 2, 4, 0.7, seed=100 + trial), 0)
+               for trial in range(4)]
+    samples.append(zero_sample(2, 3))
+    for x in samples:
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.0))
-        j = int(rng.integers(0, n if side == "row" else m))
-        rep = sm.correction_terms(x, z, j, side=side, p=0.7)
-        e1, e2, e3, r_diag = oracle_corrections(x, z, 0.7, j, side)
-        assert rep.eps1 == pytest.approx(e1, abs=1e-11)
-        assert rep.eps2 == pytest.approx(e2, abs=1e-11)
-        assert rep.eps3 == pytest.approx(e3, abs=1e-11)
-        assert rep.r_diag == pytest.approx(r_diag, abs=1e-11)
-        assert rep.eps_total == rep.eps1 + rep.eps2 + rep.eps3
-        assert rep.identity_residual < 1e-10
+        size = x.n if side == "row" else x.m
+        for j in range(size):
+            rep = sm.correction_terms(x, z, j, side=side, p=0.7)
+            e1, e2, e3, r_diag = oracle_corrections(x, z, 0.7, j, side)
+            assert rep.eps1 == pytest.approx(e1, abs=1e-12)
+            assert rep.eps2 == pytest.approx(e2, abs=1e-12)
+            assert rep.eps3 == pytest.approx(e3, abs=1e-12)
+            assert rep.r_diag == pytest.approx(r_diag, abs=1e-12)
+            assert rep.eps_total == rep.eps1 + rep.eps2 + rep.eps3
+            assert rep.identity_residual < 1e-10
+        for j in (-1, size):
+            with pytest.raises(IndexError):
+                sm.correction_terms(x, z, j, side=side, p=0.7)
 
 
 def test_correction_terms_zero_matrix():
@@ -147,11 +153,28 @@ def test_audit_convention_stable_across_n():
         assert len(audit) == n
 
 
-def test_audit_rejects_large_n():
-    params = gaussian_params(201, 402, 0.5, seed=0)
+@settings(max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 30), extra=st.integers(1, 40), p=st.floats(0.3, 1.0),
+       u=st.floats(-2.0, 2.0), v=st.floats(0.2, 1.5),
+       dist=st.sampled_from([sm.EntryDistribution.gaussian(),
+                             sm.EntryDistribution.rademacher(),
+                             sm.EntryDistribution.pareto(6.0)]),
+       seed=st.integers(0, 10**9))
+def test_audit_convention_property(n, extra, p, u, v, dist, seed):
+    params = sm.ModelParams(n=n, m=n + extra, p=p, dist=dist, delta=1.0, seed=seed)
     x = sm.sample_matrix(params, 0)
-    with pytest.raises(ParameterError):
-        sm.self_consistency_audit(x, 1j, 0.5)
+    audit = sm.self_consistency_audit(x, complex(u, v), params.y, p=p)
+    assert audit.convention == CORRECTION_SIGNS
+    assert audit.max_residual <= 1e-10
+
+
+def test_audit_large_n_pinned_convention():
+    params = gaussian_params(400, 800, 0.5, seed=0)
+    x = sm.sample_matrix(params, 0)
+    audit = sm.self_consistency_audit(x, complex(0.9, 0.5), 0.5, p=0.5)
+    assert audit.convention == CORRECTION_SIGNS
+    assert audit.max_residual <= 1e-8
+    assert len(audit) == 400
 
 
 def test_self_consistent_fixed_point_algebra():
@@ -255,9 +278,6 @@ def test_tn_moment_study_q0_and_errors():
         sm.tn_moment_study(params, z, q=0, replications=0)
     with pytest.raises(ParameterError):
         sm.tn_moment_study(params, z, q=3, replications=1000)
-    big = gaussian_params(250, 500, 0.5, seed=1)
-    with pytest.raises(ParameterError):
-        sm.tn_moment_study(big, z, q=2, replications=1000)
 
 
 def test_tn_moment_study_q2_finite():
