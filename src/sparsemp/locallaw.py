@@ -33,7 +33,7 @@ from .model import ModelParams, SampledMatrix, sample_matrix
 from .mplaw import (ComplexPoint, DomainSpec, _as_complex, _check_y, _u_band,
                     domain_grid, gamma_n, stieltjes_mp)
 from .spectral import (SpectrumResult, _diag_factors, resolvent_max_abs,
-                       singular_values, stieltjes_esd)
+                       singular_values, squared_singular_values, stieltjes_esd)
 
 ROW = "row"
 COLUMN = "column"
@@ -391,9 +391,10 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
                   workers: int | None = None) -> LocalLawReport:
     """Monte Carlo scan of |Lambda_n| / Gamma_n over a domain grid.
 
-    One SVD per replication; |Lambda_n| and Gamma_n at every grid point;
+    One spectrum per replication; |Lambda_n| and Gamma_n at every grid point;
     max resolvent entries on every ``max_entry_stride``-th point (0 disables
-    the max-entry pass, which then skips computing singular vectors).
+    the max-entry pass, which then needs no singular vectors and takes the
+    squared singular values from the eigenvalues of X X^T instead of an SVD).
     """
     if replications < 1:
         raise ParameterError(f"replications must be >= 1, got {replications}")
@@ -411,11 +412,11 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
         x = sample_matrix(params, rep)
         if me_idx:
             spec = singular_values(x)
-            s = spec.singulars
+            s2 = spec.singulars ** 2
         else:
-            s = np.linalg.svd(x.scaled, compute_uv=False)
+            s2 = squared_singular_values(x)
             spec = None
-        sn = (zs[:, None] / (s[None, :] ** 2 - zs[:, None] ** 2)).mean(axis=1)
+        sn = (zs[:, None] / (s2[None, :] - zs[:, None] ** 2)).mean(axis=1)
         lam_abs = np.abs(sn - s_mp)
         maxes = {i: resolvent_max_abs(spec, grid[i]) for i in me_idx} if spec else {}
         return lam_abs, maxes

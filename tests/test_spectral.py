@@ -5,6 +5,7 @@ import pytest
 
 import sparsemp as sm
 from sparsemp import SampledMatrix
+from sparsemp.spectral import squared_singular_values
 
 from conftest import dense_resolvent, gaussian_params, zero_sample
 
@@ -36,6 +37,14 @@ def test_svd_against_eigensolver_oracle():
     assert np.linalg.norm(rebuilt - x.scaled) <= 1e-9 * np.linalg.norm(x.scaled)
     assert np.abs(spec.left_vectors.T @ spec.left_vectors - np.eye(50)).max() < 1e-10
     assert np.abs(spec.right_vectors.T @ spec.right_vectors - np.eye(50)).max() < 1e-10
+
+
+def test_squared_singular_values_against_svd():
+    assert np.all(squared_singular_values(zero_sample(2, 3)) == 0.0)
+    for n, p in ((2, 1.0), (50, 0.6), (300, 0.1)):
+        x = sm.sample_matrix(gaussian_params(n, 2 * n, p, seed=n), 0)
+        oracle = np.linalg.svd(x.scaled, compute_uv=False)[::-1] ** 2
+        np.testing.assert_allclose(squared_singular_values(x), oracle, rtol=0, atol=1e-12)
 
 
 def test_esd_values():
