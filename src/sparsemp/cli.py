@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 import jsonschema
 import numpy as np
@@ -72,7 +71,8 @@ def _fmt(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command configs (lossless JSON round-trip)
+# command configs: the dataclass annotations and defaults are the config
+# schema, read by _load
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,6 @@ class SpectrumConfig:
     model: ModelParams
     replication: int = 0
     bins: int = 61
-
-    def to_dict(self):
-        return {"model": self.model.to_dict(), "replication": self.replication,
-                "bins": self.bins}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(model=ModelParams.from_dict(d["model"]),
-                   replication=int(d.get("replication", 0)),
-                   bins=int(d.get("bins", 61)))
 
 
 @dataclass(frozen=True)
@@ -130,45 +120,14 @@ class SweepConfig:
         return ModelParams(n=n, m=m, p=p, dist=self.dist, delta=self.delta,
                            seed=self.seed)
 
-    def to_dict(self):
-        d = {"delta": self.delta, "seed": self.seed,
-             "n_values": list(self.n_values), "y": self.y}
-        d.update(self.dist.to_dict())
-        if self.np_product is not None:
-            d["np_product"] = self.np_product
-        if self.p is not None:
-            d["p"] = self.p
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(dist=EntryDistribution.from_dict(d), delta=float(d["delta"]),
-                   seed=int(d["seed"]), n_values=tuple(int(n) for n in d["n_values"]),
-                   y=float(d["y"]),
-                   np_product=float(d["np_product"]) if "np_product" in d else None,
-                   p=float(d["p"]) if "p" in d else None)
-
 
 @dataclass(frozen=True)
 class LocalLawConfig:
     sweep: SweepConfig
-    domain: DomainTemplate
+    domain: DomainTemplate = field(default_factory=DomainTemplate)
     replications: int = 20
     C0: float = 1.0
     max_entry_stride: int = 10
-
-    def to_dict(self):
-        return {"sweep": self.sweep.to_dict(), "domain": asdict(self.domain),
-                "replications": self.replications, "C0": self.C0,
-                "max_entry_stride": self.max_entry_stride}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(sweep=SweepConfig.from_dict(d["sweep"]),
-                   domain=DomainTemplate(**d.get("domain", {})),
-                   replications=int(d.get("replications", 20)),
-                   C0=float(d.get("C0", 1.0)),
-                   max_entry_stride=int(d.get("max_entry_stride", cls.max_entry_stride)))
 
 
 @dataclass(frozen=True)
@@ -178,22 +137,6 @@ class ConfigAnalyzeConfig:
     replications: int = 1000
     report_sample: bool = True
     deviant_threshold: float | None = None
-
-    def to_dict(self):
-        d = {"sweep": self.sweep.to_dict(), "threshold_c": self.threshold_c,
-             "replications": self.replications, "report_sample": self.report_sample}
-        if self.deviant_threshold is not None:
-            d["deviant_threshold"] = self.deviant_threshold
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(sweep=SweepConfig.from_dict(d["sweep"]),
-                   threshold_c=float(d.get("threshold_c", 1.0)),
-                   replications=int(d.get("replications", 1000)),
-                   report_sample=bool(d.get("report_sample", True)),
-                   deviant_threshold=(float(d["deviant_threshold"])
-                                      if "deviant_threshold" in d else None))
 
 
 @dataclass(frozen=True)
@@ -210,23 +153,6 @@ class ConcentrationConfig:
     matrix_scale: float = 1.0
     corpus: int = 0
     a2_moment_side: str = "xi"
-
-    def to_dict(self):
-        return {"k": self.k, "q": self.q,
-                "xi": self.xi.to_dict(), "eta": self.eta.to_dict(),
-                "mode": self.mode, "samples": self.samples, "seed": self.seed,
-                "matrix_kind": self.matrix_kind, "matrix_seed": self.matrix_seed,
-                "matrix_scale": self.matrix_scale, "corpus": self.corpus,
-                "a2_moment_side": self.a2_moment_side}
-
-    @classmethod
-    def from_dict(cls, d):
-        kw = dict(d)
-        if "xi" in kw:
-            kw["xi"] = EntryDistribution.from_dict(kw["xi"])
-        if "eta" in kw:
-            kw["eta"] = EntryDistribution.from_dict(kw["eta"])
-        return cls(**kw)
 
     def matrix_for(self, trial: int) -> np.ndarray:
         if self.matrix_kind == "identity":
@@ -246,17 +172,6 @@ class AuditConfig:
     replication: int = 0
     tolerance: float = 1e-8
 
-    def to_dict(self):
-        return {"model": self.model.to_dict(), "u": self.u, "v": self.v,
-                "replication": self.replication, "tolerance": self.tolerance}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(model=ModelParams.from_dict(d["model"]),
-                   u=float(d.get("u", 0.9)), v=float(d.get("v", 0.5)),
-                   replication=int(d.get("replication", 0)),
-                   tolerance=float(d.get("tolerance", 1e-8)))
-
 
 @dataclass(frozen=True)
 class TnMomentsConfig:
@@ -271,16 +186,73 @@ class TnMomentsConfig:
     V: float = 1.0
     grid_u: int = 8
 
-    def to_dict(self):
-        return {"model": self.model.to_dict(), "u": self.u, "v": self.v,
-                "q": self.q, "replications": self.replications, "gamma": self.gamma,
-                "s0": self.s0, "mu": self.mu, "V": self.V, "grid_u": self.grid_u}
 
-    @classmethod
-    def from_dict(cls, d):
-        kw = dict(d)
-        kw["model"] = ModelParams.from_dict(kw["model"])
-        return cls(**kw)
+def _load(cls, raw: Any, where: str = ""):
+    """Build the config dataclass ``cls`` from parsed JSON.
+
+    Every key must name a field, every field without a default must be
+    present, and every value must have its field's JSON type; otherwise a
+    ParameterError names the dotted key.  An ``EntryDistribution`` is written
+    as its ``dist``/``alpha`` keys: flattened into the enclosing object for a
+    field named ``dist``, as a nested object otherwise.  The range checks
+    stay in each class's ``__post_init__``.
+    """
+    rest = _object(raw, where.rstrip("."))
+    hints = get_type_hints(cls)
+    kw = {}
+    for f in fields(cls):
+        key = where + f.name
+        if f.name == "dist" and hints[f.name] is EntryDistribution:
+            kw[f.name] = _distribution(rest, where)
+        elif f.name in rest:
+            kw[f.name] = _value(hints[f.name], rest.pop(f.name), key)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ParameterError(f"missing config key {key!r}")
+    _no_unknown(rest, where)
+    return cls(**kw)
+
+
+def _object(raw: Any, key: str) -> dict:
+    if not isinstance(raw, dict):
+        what = f"config key {key!r}" if key else "config"
+        raise ParameterError(f"{what} must be a JSON object, got {raw!r}")
+    return dict(raw)
+
+
+def _no_unknown(rest: dict, where: str) -> None:
+    if rest:
+        raise ParameterError(f"unknown config key {where + min(rest)!r}")
+
+
+def _distribution(rest: dict, where: str) -> EntryDistribution:
+    """Pop the ``dist`` and optional ``alpha`` keys of one object."""
+    if "dist" not in rest:
+        raise ParameterError(f"missing config key {where + 'dist'!r}")
+    kind = _value(str, rest.pop("dist"), where + "dist")
+    alpha = _value(float | None, rest.pop("alpha", None), where + "alpha")
+    return EntryDistribution(kind, alpha=alpha)
+
+
+def _value(tp: Any, v: Any, key: str) -> Any:
+    if tp is EntryDistribution:
+        rest = _object(v, key)
+        dist = _distribution(rest, key + ".")
+        _no_unknown(rest, key + ".")
+        return dist
+    if is_dataclass(tp):
+        return _load(tp, v, key + ".")
+    args = get_args(tp)
+    if type(None) in args:                       # X | None
+        return None if v is None else _value(args[0], v, key)
+    if get_origin(tp) is tuple:                  # tuple[X, ...]
+        if not isinstance(v, list):
+            raise ParameterError(f"config key {key!r} must be a list, got {v!r}")
+        return tuple(_value(args[0], item, f"{key}[{i}]") for i, item in enumerate(v))
+    if tp is float and type(v) is int and abs(v) <= sys.float_info.max:
+        v = float(v)
+    if type(v) is not tp:                        # JSON true is no int
+        raise ParameterError(f"config key {key!r} must be {tp.__name__}, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +438,11 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            cfg = cfg_cls.from_dict(raw)
-        except (FileNotFoundError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            # only a missing or malformed config is a parameter error; the
-            # same exceptions from inside a command are bugs and propagate
-            raise ParameterError(str(exc)) from exc
+        except (OSError, ValueError) as exc:
+            # an unreadable file or malformed JSON; _load raises ParameterError
+            # for bad keys and values, so nothing else is caught here
+            raise ParameterError(f"cannot read config {args.config}: {exc}") from exc
+        cfg = _load(cfg_cls, raw)
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         return runner(cfg, out_dir, args.workers)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError
 from .mc import MCEstimate, binomial_estimate, map_replications
@@ -50,26 +52,6 @@ def build_configuration(x: SampledMatrix, params: ModelParams,
     cut = threshold_c * (params.n * params.p) ** (0.5 - kappa)
     links = (x.mask.astype(bool) & (np.abs(x.raw) >= cut)).astype(np.uint8)
     return ConfigurationMatrix(links=links, threshold_c=float(threshold_c), kappa=kappa)
-
-
-class _UnionFind:
-    """Array-based union-find with path compression."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -113,25 +95,20 @@ def classify(config: ConfigurationMatrix, n: int, m: int, p: float,
         )
     if deviant_threshold is None:
         deviant_threshold = math.sqrt(n / p)
-    edges = np.argwhere(config.links)
+    # the bipartite link graph on rows 0..n-1 and columns n..n+m-1
+    j, k = np.divmod(np.flatnonzero(config.links), m)
     total = n + m
-    uf = _UnionFind(total)
+    graph = coo_matrix((np.ones(j.size, dtype=np.int8), (j, n + k)), shape=(total, total))
+    _, labels = connected_components(graph, directed=False)
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    # disjoint tuples sort by their smallest member
+    components = sorted(tuple(members[a:b]) for a, b in zip([0] + ends[:-1], ends))
     deviant_mask = np.zeros(total, dtype=bool)
-    for j, k in edges:
-        uf.union(int(j), n + int(k))
-        deviant_mask[int(j)] = True
-        deviant_mask[n + int(k)] = True
-    roots = np.fromiter((uf.find(i) for i in range(total)), dtype=np.int64, count=total)
-    order = np.argsort(roots, kind="stable")
-    components: list[tuple[int, ...]] = []
-    start = 0
-    sorted_roots = roots[order]
-    for i in range(1, total + 1):
-        if i == total or sorted_roots[i] != sorted_roots[start]:
-            components.append(tuple(int(v) for v in sorted(order[start:i])))
-            start = i
-    deviant = tuple(int(i) for i in np.flatnonzero(deviant_mask))
-    typical = tuple(int(i) for i in np.flatnonzero(~deviant_mask))
+    deviant_mask[j] = True
+    deviant_mask[n + k] = True
+    deviant = tuple(np.flatnonzero(deviant_mask).tolist())
+    typical = tuple(np.flatnonzero(~deviant_mask).tolist())
     r_thr = connectivity_threshold(n)
     dev_bad = len(deviant) >= deviant_threshold
     conn_bad = any(len(c) >= r_thr for c in components)

@@ -253,8 +253,7 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex", y: flo
                        residual_exact=residual_exact, residual_flipped=residual_flipped)
 
 
-def error_term_tn(x: SampledMatrix, z: "ComplexPoint | complex", y: float,
-                  p: float) -> complex:
+def error_term_tn(x: SampledMatrix, z: "ComplexPoint | complex", p: float) -> complex:
     """T_n = (1/n) sum_j eps_j R_jj under the frozen sign convention."""
     return _t_n(*_correction_arrays(x, singular_values(x), _as_complex(z), p, ROW))
 

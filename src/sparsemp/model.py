@@ -108,10 +108,6 @@ class EntryDistribution:
             d["alpha"] = self.alpha
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "EntryDistribution":
-        return cls(d["dist"], alpha=d.get("alpha"))
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -166,17 +162,6 @@ class ModelParams:
         }
         d.update(self.dist.to_dict())
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "ModelParams":
-        return cls(
-            n=int(d["n"]),
-            m=int(d["m"]),
-            p=float(d["p"]),
-            dist=EntryDistribution.from_dict(d),
-            delta=float(d["delta"]),
-            seed=int(d["seed"]),
-        )
 
 
 @dataclass(frozen=True)

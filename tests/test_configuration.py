@@ -11,7 +11,7 @@ from conftest import gaussian_params
 
 
 def oracle_classify(links, n, m, p, deviant_threshold=None):
-    """Brute-force BFS classification, independent of the union-find path."""
+    """Brute-force BFS classification, independent of the csgraph path."""
     total = n + m
     adj = {i: set() for i in range(total)}
     deviant = set()
@@ -112,6 +112,9 @@ def test_classify_matches_bfs_oracle():
         dev_o, comps_o, verdict_o = oracle_classify(links, n, m, p)
         assert frozenset(rep.deviant) == dev_o
         assert frozenset(rep.components) == comps_o
+        # members ascending, components ordered by their smallest member
+        assert all(list(c) == sorted(c) for c in rep.components)
+        assert [c[0] for c in rep.components] == sorted(c[0] for c in rep.components)
         assert rep.verdict == verdict_o
         # partition property and deviant/typical complementarity
         flat = [i for c in rep.components for i in c]

@@ -307,5 +307,5 @@ def test_error_term_tn_matches_audit():
     x = sm.sample_matrix(params, 0)
     z = complex(0.8, 0.6)
     audit = sm.self_consistency_audit(x, z, 0.5, p=0.7)
-    t_n = sm.error_term_tn(x, z, 0.5, p=0.7)
+    t_n = sm.error_term_tn(x, z, p=0.7)
     assert t_n == pytest.approx(audit.t_n, abs=1e-12)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import sparsemp as sm
 from sparsemp import DivergentMomentError, EntryDistribution, ModelParams, ParameterError
+from sparsemp.cli import _load
 
 
 def test_scaling_is_raw_times_mask_over_sqrt_mp():
@@ -136,7 +137,7 @@ def test_negative_replication_rejected():
 def test_params_json_roundtrip():
     for dist in (EntryDistribution.gaussian(), EntryDistribution.pareto(7.5)):
         params = ModelParams(n=12, m=24, p=0.25, dist=dist, delta=1.5, seed=99)
-        assert ModelParams.from_dict(params.to_dict()) == params
+        assert _load(ModelParams, params.to_dict()) == params
 
 
 def test_from_dense_keeps_invariant():
