@@ -417,7 +417,7 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
             spec = None
         sn = (zs[:, None] / (s2[None, :] - zs[:, None] ** 2)).mean(axis=1)
         lam_abs = np.abs(sn - s_mp)
-        maxes = {i: resolvent_max_abs(spec, grid[i]) for i in me_idx} if spec else {}
+        maxes = {i: resolvent_max_abs(spec, grid[i]) for i in me_idx} if me_idx else {}
         return lam_abs, maxes
 
     results = map_replications(one, replications, workers)

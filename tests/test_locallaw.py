@@ -226,6 +226,8 @@ def test_locallaw_scan_plumbing():
                                max_entry_stride=1, workers=2)
     assert report2.sup_ratio == report.sup_ratio
     assert report2.sup_lambda_per_replication == report.sup_lambda_per_replication
+    assert ([ps.max_entry for ps in report2.per_point]
+            == [ps.max_entry for ps in report.per_point])
 
 
 def test_locallaw_scan_max_entry_matches_direct():

@@ -199,6 +199,49 @@ def test_max_entry_examples(medium_sample):
     assert sm.resolvent_max_abs(spec, z, chunk=7) == pytest.approx(sm.max_entry(r), abs=1e-12)
 
 
+def _rank_one(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return SampledMatrix.from_dense(np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+
+
+def test_resolvent_max_abs_against_dense_scan():
+    """The blockwise real upper-triangle scan equals the dense max |R_jk|.
+
+    Every block must hold the dense argmax somewhere, on and off the corner
+    diagonals, so that a skipped block or a wrong triangle cannot pass.
+    """
+    samples = {
+        "zero 2x3": zero_sample(2, 3),
+        "n=2": sm.sample_matrix(gaussian_params(2, 4, 1.0, seed=2), 0),
+        "y near 1": sm.sample_matrix(gaussian_params(40, 41, 0.5, seed=40), 0),
+        "10x300": sm.sample_matrix(gaussian_params(10, 300, 0.5, seed=10), 0),
+        # crafted so that R_12, an off-diagonal of the U corner and one of
+        # the W corner hold the argmax at z = 0.9 + 0.01i
+        "diagonal": SampledMatrix.from_dense(np.array([[1.0, 0, 0], [0, 0.5, 0]])),
+        "rank one, U spread": _rank_one([1, 1], [1, 1, 1]),
+        "rank one, W spread": _rank_one([1, 1, 1], [1, 1, 0, 0]),
+    }
+    seen = set()
+    for name, x in samples.items():
+        spec = sm.singular_values(x)
+        n = x.n
+        for re in (0.1, 0.9, 2.5):
+            for im in (0.01, 0.25, 5.0):
+                z = complex(re, im)
+                r = sm.resolvent_from_spectrum(spec, z)
+                want = sm.max_entry(r)
+                dense = np.abs(r.entries)
+                j, k = np.unravel_index(dense.argmax(), dense.shape)
+                block = "U" if j < n and k < n else "W" if j >= n and k >= n else "R12"
+                seen.add(block if block == "R12" else f"{block} {'diag' if j == k else 'off'}")
+                got = {chunk: sm.resolvent_max_abs(spec, z, chunk=chunk)
+                       for chunk in {1, 7, max(n - 1, 1), n, n + 1}}
+                got["default"] = sm.resolvent_max_abs(spec, z)
+                for chunk, val in got.items():
+                    assert val == pytest.approx(want, rel=1e-12, abs=0), (name, z, chunk)
+    assert seen == {"U diag", "U off", "W diag", "W off", "R12"}
+
+
 def test_csv_exports(tmp_path, medium_sample):
     _, x = medium_sample
     spec = sm.singular_values(x)
