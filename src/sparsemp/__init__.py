@@ -20,11 +20,10 @@ from .locallaw import (AuditResult, CorrectionReport, CORRECTION_SIGNS,
 from .mc import MCEstimate
 from .model import (EntryDistribution, ModelParams, SampledMatrix, check_c0,
                     moment_4_delta, sample_matrix)
-from .mplaw import (BoundSpec, ComplexPoint, DomainSpec, MPLawEval,
-                    b_function, bound_eval, d_function, d_n_function,
-                    domain_grid, gamma_n, gamma_n_theorem1, mp_cdf,
-                    mp_density, mp_edges, mp_eval, prior_bound_tn,
-                    stieltjes_mp)
+from .mplaw import (BoundSpec, ComplexPoint, DomainSpec, b_function,
+                    bound_eval, d_function, d_n_function, domain_grid,
+                    gamma_n, gamma_n_theorem1, mp_cdf, mp_density, mp_edges,
+                    prior_bound_tn, stieltjes_mp)
 from .spectral import (ResolventEval, SpectrumResult, esd, max_entry,
                        resolvent, resolvent_from_spectrum, resolvent_max_abs,
                        resolvent_minor, singular_values, stieltjes_esd)
@@ -37,7 +36,7 @@ __all__ = [
     "CorrectionReport", "CORRECTION_SIGNS", "DegenerateConditioningError",
     "DivergentMomentError", "DomainSpec", "EntryDistribution",
     "ExactEnumerationError", "IdentityFailureError", "LocalLawReport",
-    "MCEstimate", "MPLawEval", "ModelParams", "MultiscaleLadder",
+    "MCEstimate", "ModelParams", "MultiscaleLadder",
     "NumericalError", "ParameterError", "QuadratureError", "ResolventEval",
     "SampledMatrix", "SpectrumResult", "TnMomentResult", "b_function",
     "bilinear_moment_exact", "bilinear_moment_mc", "bound_eval", "check_c0",
@@ -46,7 +45,7 @@ __all__ = [
     "domain_grid", "error_term_tn", "esd", "gamma_n", "gamma_n_theorem1",
     "inadmissibility_probability", "lambda_n", "lemma_rhs", "locallaw_scan",
     "max_entry", "moment_4_delta", "mp_cdf", "mp_density", "mp_edges",
-    "mp_eval", "multiscale_ladder", "prior_bound_tn", "resolvent",
+    "multiscale_ladder", "prior_bound_tn", "resolvent",
     "resolvent_from_spectrum", "resolvent_max_abs", "resolvent_minor",
     "sample_matrix", "self_consistency_audit", "singular_values",
     "stieltjes_esd", "stieltjes_mp", "tn_moment_study",

@@ -84,26 +84,6 @@ def b_function(z: "ComplexPoint | complex", y: float) -> complex:
     return zc - (1.0 - y) / zc + 2.0 * y * stieltjes_mp(zc, y)
 
 
-@dataclass(frozen=True)
-class MPLawEval:
-    """Analytic quantities of the symmetrized MP law at one complex point."""
-
-    z: complex
-    y: float
-    S: complex
-    b: complex
-    a_edge: float
-    b_edge: float
-
-
-def mp_eval(z: "ComplexPoint | complex", y: float) -> MPLawEval:
-    zc = _as_complex(z)
-    S = stieltjes_mp(zc, y)
-    a, b_edge = mp_edges(y)
-    return MPLawEval(z=zc, y=float(y), S=S, b=zc - (1.0 - y) / zc + 2.0 * y * S,
-                     a_edge=a, b_edge=b_edge)
-
-
 def mp_density(x: float, y: float) -> float:
     """Symmetrized MP density g_y(x) = sqrt((x^2-a^2)(b^2-x^2)) / (2 pi y |x|)."""
     a, b = mp_edges(y)

@@ -168,29 +168,81 @@ def max_entry(r: ResolventEval) -> float:
     return float(np.abs(r.entries).max())
 
 
+def _active_rows(factor: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The active rows of a factor, without a copy when all are active."""
+    return factor if active.all() else factor[active]
+
+
 def resolvent_max_abs(spec: SpectrumResult, z: "ComplexPoint | complex",
                       chunk: int = 1024) -> float:
-    """max |R_jk| computed blockwise, never materializing the full matrix.
+    """max |R_jk|, pruned by the Ward identity, never materializing R.
 
-    Everything is real arithmetic: for row block ``[lo:hi]`` of a factor F
-    (U or W) with complex diagonal weights d, the rows ``F[lo:hi] * d.real``
-    and ``F[lo:hi] * d.imag`` are stacked and multiplied by the real factor
-    in one real GEMM, giving Re and Im of the block side by side.  The two
+    Diagonal and Ward bound.  R_jj = sum_i F_ji^2 d_i - 1/z for F = U or W and
+    d = d_proj, so all n + m diagonal entries cost one (n + m) x r product
+    with three weight columns.  They give ``best = max |R_jj|^2``.  V is real
+    symmetric, so the Ward identity sum_k |R_jk|^2 = Im R_jj / Im z holds, and
+    every off-diagonal entry of row j obeys |R_jk|^2 <= b_j with
+    b_j = Im R_jj / Im z - |R_jj|^2.  R is symmetric, so |R_jk| <= min(sqrt
+    b_j, sqrt b_k): an entry can beat ``best`` only if its row and its column
+    are both *active*, b_j + tol_j > best.
+
+    Tolerance.  With v = Im z, nu_j = sum_i F_ji^2 |d_i| and mu_j = nu_j +
+    1/|z|, the bound b_j can be wrong in three ways:
+
+    - The identity needs orthonormal columns of U and W (the row norms of F
+      may be anything, so tall and wide samples alike).  With ||F^T F - I||_2
+      <= eta it is off by at most eta sum_i F_ji^2 (|d_i|^2 + |e_i|^2) <= 3 eta
+      nu_j / v, where e = d_mid and |d_i|^2 + |e_i|^2 = Im d_i / v +
+      2 Re(d_i / conj z) <= 3 |d_i| / v.
+    - The computed R_jj is a length-r dot product per real and imaginary
+      part, so it is off by at most delta_j = 2 (r + 2) eps mu_j.  That moves
+      b_j by at most delta_j / v + 3 mu_j delta_j.
+    - The remaining operations of b_j add at most 4 eps (mu_j / v + mu_j^2).
+
+    For eta <= 4 (r + 2) eps the three sum to less than
+    ``tol_j = 16 (r + 2) eps (mu_j / v + mu_j^2)``.  LAPACK's SVD stays well
+    inside that eta: at most 0.3 of it was measured, over shapes from 2 x 2
+    to 1000 x 2000, tall ones included.  So no pruned entry
+    exceeds ``best`` by more than rounding, and the result equals the dense
+    scan to rounding.  A route whose factors are less orthonormal (singular
+    vectors rebuilt as W = X^T U / s for small s) must re-verify eta.
+
+    Scan.  The active rows ``U[active_U]`` and ``W[active_W]`` go through a
+    blockwise scan in real arithmetic: for row block ``[lo:hi]`` of a factor
+    F with complex diagonal weights d, the rows ``F[lo:hi] * d.real`` and
+    ``F[lo:hi] * d.imag`` are stacked and multiplied by the real factor in
+    one real GEMM, giving Re and Im of the block side by side.  The two
     corner blocks F D_p F^T - I/z are complex symmetric, so row block
     ``[lo:hi]`` is multiplied only against ``F[lo:]``: the upper triangle,
     plus the lower half of the square on the diagonal.  R_12 = U D_m W^T is
-    scanned whole.  Each block is reduced to max(re^2 + im^2) in place and
-    one square root is taken at the end.
+    scanned on active rows x active columns.  Each block is reduced to
+    max(re^2 + im^2) in place and one square root is taken at the end.
 
-    The largest temporary is one block of 2 * chunk x max(n, m) float64
-    values (32 MiB at chunk = 1024, m = 2000); no complex copy of U or W is
-    made.
+    In the worst case every index is active: the full triangle scan plus the
+    O((n + m) r) diagonal pass.  The largest temporary is one block of
+    2 * chunk x max(n, m) float64 values (32 MiB at chunk = 1024, m = 2000);
+    no complex copy of U or W is made.
     """
     zc = _as_complex(z)
     u, s, w = spec.left_vectors, spec.singulars, spec.right_vectors
     d_proj, d_mid = _diag_factors(s, zc)
     inv_z = 1.0 / zc
-    best = 0.0
+    weights = np.column_stack((d_proj.real, d_proj.imag, np.abs(d_proj)))
+    slack = 16.0 * (s.size + 2) * np.finfo(np.float64).eps
+
+    def ward(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        re, im, nu = ((factor * factor) @ weights).T
+        re = re - inv_z.real
+        im = im - inv_z.imag
+        diag = re * re + im * im
+        mu = nu + abs(inv_z)
+        bound = im / zc.imag - diag + slack * (mu / zc.imag + mu * mu)
+        return diag, bound
+
+    diag_u, bound_u = ward(u)
+    diag_w, bound_w = ward(w)
+    best = float(max(diag_u.max(), diag_w.max()))
+    u, w = _active_rows(u, bound_u > best), _active_rows(w, bound_w > best)
 
     def block_max(rows: np.ndarray, d: np.ndarray, right: np.ndarray,
                   diag: bool) -> float:
@@ -209,8 +261,9 @@ def resolvent_max_abs(spec: SpectrumResult, z: "ComplexPoint | complex",
         for lo in range(0, factor.shape[0], chunk):
             rows = factor[lo:lo + chunk]
             best = max(best, block_max(rows, d_proj, factor[lo:], diag=True))
-    for lo in range(0, u.shape[0], chunk):
-        best = max(best, block_max(u[lo:lo + chunk], d_mid, w, diag=False))
+    if w.shape[0]:
+        for lo in range(0, u.shape[0], chunk):
+            best = max(best, block_max(u[lo:lo + chunk], d_mid, w, diag=False))
     return math.sqrt(best)
 
 

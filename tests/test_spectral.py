@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsemp as sm
 from sparsemp import SampledMatrix
@@ -240,6 +242,80 @@ def test_resolvent_max_abs_against_dense_scan():
                 for chunk, val in got.items():
                     assert val == pytest.approx(want, rel=1e-12, abs=0), (name, z, chunk)
     assert seen == {"U diag", "U off", "W diag", "W off", "R12"}
+
+
+def _ward_active(entries: np.ndarray, z: complex) -> np.ndarray:
+    """Rows whose Ward bound on the off-diagonal entries exceeds max |R_jj|^2."""
+    diag = np.diag(entries)
+    bound = diag.imag / z.imag - np.abs(diag) ** 2
+    return bound > (np.abs(diag) ** 2).max()
+
+
+def _random_sample(n: int, m: int, density: float, seed: int) -> SampledMatrix:
+    """A Gaussian sample with the given density; density 0 gives X = 0."""
+    if density == 0.0:
+        return zero_sample(n, m)
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, m)) < density
+    return SampledMatrix.from_dense(rng.standard_normal((n, m)) * mask / math.sqrt(m * density))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(n=st.integers(2, 25), m=st.one_of(st.integers(2, 25), st.just(-1)),
+       density=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+       re=st.floats(-3.0, 3.0), log_im=st.floats(-3.0, 1.0),
+       chunk=st.sampled_from([1, 3, None]), seed=st.integers(0, 2**32 - 1))
+def test_resolvent_max_abs_pruned_property(n, m, density, re, log_im, chunk, seed):
+    """The Ward-pruned scan equals the dense max |R_jk| on any shape.
+
+    m = -1 stands for y near 1 (m = n + 1); n > m gives tall samples.  The
+    factors must be as orthonormal as the scan's tolerance assumes.
+    """
+    m = n + 1 if m == -1 else m
+    x = _random_sample(n, m, density, seed)
+    spec = sm.singular_values(x)
+    for f in (spec.left_vectors, spec.right_vectors):
+        r = f.shape[1]
+        assert np.linalg.norm(f.T @ f - np.eye(r), 2) <= 4 * (r + 2) * np.finfo(float).eps
+    z = complex(re, 10.0 ** log_im)
+    want = sm.max_entry(sm.resolvent_from_spectrum(spec, z))
+    got = (sm.resolvent_max_abs(spec, z) if chunk is None
+           else sm.resolvent_max_abs(spec, z, chunk=chunk))
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_resolvent_max_abs_partial_pruning():
+    """Only the two indices of the top singular pair are active, and the max
+    sits off the diagonal between them, 0.2% above the largest diagonal."""
+    z = complex(0.9, 0.05)
+    x = SampledMatrix.from_dense(np.array([[0.0, 0.0, 1.002 * abs(z)],
+                                           [0.3, 0.0, 0.0]]))
+    spec = sm.singular_values(x)
+    r = sm.resolvent_from_spectrum(spec, z)
+    dense = np.abs(r.entries)
+    active = _ward_active(r.entries, z)
+    assert 0 < active.sum() < active.size
+    j, k = np.unravel_index(dense.argmax(), dense.shape)
+    assert j != k and active[j] and active[k]
+    assert dense[j, k] > 1.001 * np.abs(np.diag(r.entries)).max()
+    for chunk in (1, 3, 1024):
+        assert sm.resolvent_max_abs(spec, z, chunk=chunk) == pytest.approx(
+            sm.max_entry(r), rel=1e-12, abs=0)
+
+
+def test_ward_identity_against_dense_resolvent():
+    """sum_k |R_jk|^2 = Im R_jj / Im z for every row of both blocks."""
+    samples = [_random_sample(2, 3, 0.0, 0), _random_sample(2, 2, 1.0, 2),
+               _random_sample(12, 7, 0.6, 12), _random_sample(20, 21, 0.3, 20),
+               _random_sample(15, 40, 0.1, 15)]
+    for x in samples:
+        spec = sm.singular_values(x)
+        for z in (complex(0.9, 1e-3), complex(-0.4, 0.05), complex(1.3, 1.0), complex(0.2, 10.0)):
+            for entries in (dense_resolvent(x.scaled, z),
+                            sm.resolvent_from_spectrum(spec, z).entries):
+                rows = (np.abs(entries) ** 2).sum(axis=1)
+                np.testing.assert_allclose(rows, np.diag(entries).imag / z.imag,
+                                           rtol=1e-12, atol=0)
 
 
 def test_csv_exports(tmp_path, medium_sample):
