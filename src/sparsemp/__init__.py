@@ -20,18 +20,17 @@ from .locallaw import (AuditResult, CorrectionReport, CORRECTION_SIGNS,
 from .mc import MCEstimate
 from .model import (EntryDistribution, ModelParams, SampledMatrix, check_c0,
                     moment_4_delta, sample_matrix)
-from .mplaw import (BoundSpec, ComplexPoint, DomainSpec, b_function,
-                    bound_eval, d_function, d_n_function, domain_grid,
-                    gamma_n, gamma_n_theorem1, mp_cdf, mp_density, mp_edges,
-                    prior_bound_tn, stieltjes_mp)
-from .spectral import (ResolventEval, SpectrumResult, esd, max_entry,
+from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
+                    d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
+                    mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
+from .spectral import (ResolventEval, SpectrumResult, max_entry,
                        resolvent, resolvent_from_spectrum, resolvent_max_abs,
                        resolvent_minor, singular_values, stieltjes_esd)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditResult", "BoundSpec", "ComplexPoint", "ConcentrationInput",
+    "AuditResult", "ComplexPoint", "ConcentrationInput",
     "ConcentrationReport", "ConfigurationMatrix", "ConfigurationReport",
     "CorrectionReport", "CORRECTION_SIGNS", "DegenerateConditioningError",
     "DivergentMomentError", "DomainSpec", "EntryDistribution",
@@ -39,10 +38,10 @@ __all__ = [
     "MCEstimate", "ModelParams", "MultiscaleLadder",
     "NumericalError", "ParameterError", "QuadratureError", "ResolventEval",
     "SampledMatrix", "SpectrumResult", "TnMomentResult", "b_function",
-    "bilinear_moment_exact", "bilinear_moment_mc", "bound_eval", "check_c0",
+    "bilinear_moment_exact", "bilinear_moment_mc", "check_c0",
     "classify", "classify_sample", "concentration_evaluate",
     "build_configuration", "correction_terms", "d_function", "d_n_function",
-    "domain_grid", "error_term_tn", "esd", "gamma_n", "gamma_n_theorem1",
+    "domain_grid", "error_term_tn", "gamma_n", "gamma_n_theorem1",
     "inadmissibility_probability", "lambda_n", "lemma_rhs", "locallaw_scan",
     "max_entry", "moment_4_delta", "mp_cdf", "mp_density", "mp_edges",
     "multiscale_ladder", "prior_bound_tn", "resolvent",

@@ -274,11 +274,7 @@ def cmd_spectrum(cfg: SpectrumConfig, out_dir: Path, workers: int | None) -> int
     width = edges[1] - edges[0]
     n2 = 2 * params.n
     emp = counts / (n2 * width)
-    binavg = np.array([
-        (mp_cdf(float(edges[i + 1]), y, tol=1e-9) - mp_cdf(float(edges[i]), y, tol=1e-9))
-        / width
-        for i in range(cfg.bins)
-    ])
+    binavg = np.diff([mp_cdf(float(t), y, tol=1e-9) for t in edges]) / width
     mids = 0.5 * (edges[:-1] + edges[1:])
     mid_density = np.array([mp_density(float(t), y) for t in mids])
 

@@ -54,10 +54,13 @@ _CONVENTION_MENU = (CORRECTION_SIGNS,) + tuple(
 _SCHUR_BLOCK = 256
 
 
-def lambda_n(spec: SpectrumResult, z: "ComplexPoint | complex", y: float) -> complex:
-    """Lambda_n(z) = s_n(z) - S_y(z)."""
-    zc = _as_complex(z)
-    return stieltjes_esd(spec, zc) - stieltjes_mp(zc, y)
+def lambda_n(s2: np.ndarray, z: "ComplexPoint | complex | np.ndarray",
+             y: float) -> "complex | np.ndarray":
+    """Lambda_n(z) = s_n(z) - S_y(z) from the squared singular values s2.
+
+    Takes a scalar z or an array of z and returns the same shape.
+    """
+    return stieltjes_esd(s2, z) - stieltjes_mp(z, y)
 
 
 @dataclass(frozen=True)
@@ -164,7 +167,7 @@ def correction_terms(x: SampledMatrix, z: "ComplexPoint | complex", j: int,
     if not (0 <= j < r_diags.size):
         raise IndexError(f"{side} index {j} out of range [0, {r_diags.size})")
     e1, e2, e3, r_diag = (complex(a[j]) for a in (eps1, eps2, eps3, r_diags))
-    lam = lambda_n(spec, zc, y)
+    lam = lambda_n(spec.singulars ** 2, zc, y)
     base = _identity_base(zc, y, side)
     resid = _identity_residual(base, r_diag, (e1, e2, e3), lam, y, CORRECTION_SIGNS)
     return CorrectionReport(j=j, row_kind=side, eps1=e1, eps2=e2, eps3=e3,
@@ -223,9 +226,10 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex", y: flo
         if p <= 0.0:
             p = 1.0   # X = 0 null case: centering term is -p * R, any p > 0 is consistent
     spec = singular_values(x)
-    s_n = stieltjes_esd(spec, zc)
+    s2 = spec.singulars ** 2
+    s_n = stieltjes_esd(s2, zc)
     S = stieltjes_mp(zc, y)
-    lam = s_n - S
+    lam = lambda_n(s2, zc, y)
     base = _identity_base(zc, y, ROW)
 
     eps1, eps2, eps3, r_diag = _correction_arrays(x, spec, zc, p, ROW)
@@ -290,27 +294,23 @@ def ladder_levels(v: float, V: float, s0: float) -> tuple[int, tuple[float, ...]
     return k_v, tuple(s0 ** l * v for l in range(k_v + 1))
 
 
-def multiscale_ladder(spec: SpectrumResult, domain: DomainSpec, gamma: float,
+def multiscale_ladder(s2: np.ndarray, domain: DomainSpec, gamma: float,
                       s0: float, y: float) -> MultiscaleLadder:
-    """Flags, per ladder level, whether sup_u |Lambda_n(u + i s0^l v)| <= gamma."""
+    """Flags, per ladder level, whether sup_u |Lambda_n(u + i s0^l v)| <= gamma.
+
+    ``s2`` holds the squared singular values; u runs over both sign bands.
+    """
     _check_y(y)
     if gamma < 0.0:
         raise ParameterError(f"gamma must be nonnegative, got {gamma!r}")
     v = domain.v0
     k_v, levels = ladder_levels(v, domain.V, s0)
-    flags = []
-    for lvl in levels:
-        lo, hi = _u_band(domain, y, lvl)
-        us = np.linspace(lo, hi, domain.grid_u)
-        sup = 0.0
-        for u in us:
-            for sign in (-1.0, 1.0):
-                val = abs(lambda_n(spec, complex(sign * u, lvl), y))
-                if val > sup:
-                    sup = val
-        flags.append(sup <= gamma)
+    us = np.array([np.linspace(*_u_band(domain, y, lvl), domain.grid_u) for lvl in levels])
+    zs = np.hstack((-us, us)) + 1j * np.array(levels)[:, None]
+    sups = np.abs(lambda_n(s2, zs, y)).max(axis=1)
     return MultiscaleLadder(s0=float(s0), V=float(domain.V), v=float(v), k_v=k_v,
-                            gamma=float(gamma), levels=levels, gamma_flags=tuple(flags))
+                            gamma=float(gamma), levels=levels,
+                            gamma_flags=tuple(bool(sup <= gamma) for sup in sups))
 
 
 @dataclass(frozen=True)
@@ -404,7 +404,6 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
     grid = domain_grid(domain, y)
     zs = np.array([pt.z for pt in grid])
     gammas = np.array([gamma_n(params.n, params.p, pt.v, C0) for pt in grid])
-    s_mp = np.array([stieltjes_mp(pt, y) for pt in grid])
     me_idx = list(range(0, len(grid), max_entry_stride)) if max_entry_stride else []
 
     def one(rep: int) -> tuple[np.ndarray, dict[int, float]]:
@@ -415,8 +414,7 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
         else:
             s2 = squared_singular_values(x)
             spec = None
-        sn = (zs[:, None] / (s2[None, :] - zs[:, None] ** 2)).mean(axis=1)
-        lam_abs = np.abs(sn - s_mp)
+        lam_abs = np.abs(lambda_n(s2, zs, y))
         maxes = {i: resolvent_max_abs(spec, grid[i]) for i in me_idx} if me_idx else {}
         return lam_abs, maxes
 
@@ -500,7 +498,7 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
     def one(rep: int) -> float | None:
         x = sample_matrix(params, rep)
         spec = singular_values(x)
-        ladder = multiscale_ladder(spec, domain, gamma, s0, y)
+        ladder = multiscale_ladder(spec.singulars ** 2, domain, gamma, s0, y)
         if not ladder.all_pass:
             return None
         if q == 0:

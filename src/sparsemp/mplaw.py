@@ -8,10 +8,8 @@ local-law experiments.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,11 +36,16 @@ class ComplexPoint:
         return complex(self.u, self.v)
 
 
-def _as_complex(z: "ComplexPoint | complex") -> complex:
-    zc = z.z if isinstance(z, ComplexPoint) else complex(z)
-    if not (zc.imag > 0.0):
-        raise ParameterError(f"spectral parameter must have positive imaginary part, got {zc}")
-    return zc
+def _as_complex(z: "ComplexPoint | complex | np.ndarray") -> "complex | np.ndarray":
+    """z as a complex number, or as a complex array when z is an array.
+
+    Every element must have a positive imaginary part.
+    """
+    zc = np.asarray(z.z if isinstance(z, ComplexPoint) else z, dtype=np.complex128)
+    if not (zc.imag.min(initial=math.inf) > 0.0):
+        raise ParameterError("spectral parameter must have positive imaginary part, "
+                             f"got {complex(zc.flat[zc.imag.argmin()])}")
+    return complex(zc) if zc.ndim == 0 else zc
 
 
 def _check_y(y: float) -> float:
@@ -58,30 +61,48 @@ def mp_edges(y: float) -> tuple[float, float]:
     return 1.0 - r, 1.0 + r
 
 
-def stieltjes_mp(z: "ComplexPoint | complex", y: float) -> complex:
-    """Stieltjes transform S_y(z) of the symmetrized Marchenko-Pastur law.
+def _w_and_b(z: "ComplexPoint | complex | np.ndarray",
+             y: float) -> tuple[np.ndarray, np.ndarray]:
+    """w = z - (1-y)/z and b = sqrt(w - 2 sqrt y) sqrt(w + 2 sqrt y), elementwise.
 
-    S solves y*S^2 + (z - (1-y)/z)*S + 1 = 0; of the two roots we return the
-    one with positive imaginary part (the Herglotz branch).  The roots are
-    computed by the stable quadratic recipe (large root first, small root via
-    the product of roots 1/y) so the residual stays at machine precision.
+    For Im z > 0 also Im w > 0, so both principal roots lie in the first
+    quadrant and Im b > 0: b is the root of b^2 = w^2 - 4y on the Herglotz
+    branch, with no sign to pick.  Scalars go through the same array code, so
+    a scalar call returns exactly the element of an array call.
     """
     _check_y(y)
-    zc = _as_complex(z)
+    zc = np.atleast_1d(_as_complex(z))
     w = zc - (1.0 - y) / zc
-    disc = cmath.sqrt(w * w - 4.0 * y)
-    # avoid cancellation: align the square root with w before adding
-    if (w.real * disc.real + w.imag * disc.imag) < 0.0:
-        disc = -disc
-    big = -(w + disc) / (2.0 * y)
-    small = 1.0 / (y * big)
-    return big if big.imag > 0.0 else small
+    r = 2.0 * math.sqrt(y)
+    return w, np.sqrt(w - r) * np.sqrt(w + r)
 
 
-def b_function(z: "ComplexPoint | complex", y: float) -> complex:
-    """b(z) = z - (1-y)/z + 2*y*S_y(z)  (equivalently -1/S + y*S)."""
-    zc = _as_complex(z)
-    return zc - (1.0 - y) / zc + 2.0 * y * stieltjes_mp(zc, y)
+def _like(z, out: np.ndarray) -> "complex | np.ndarray":
+    """``out`` as it is for an array z; its one element as a complex for a scalar z."""
+    return out if np.ndim(z) else out.item()
+
+
+def stieltjes_mp(z: "ComplexPoint | complex | np.ndarray",
+                 y: float) -> "complex | np.ndarray":
+    """Stieltjes transform S_y(z) of the symmetrized Marchenko-Pastur law.
+
+    S is the root with positive imaginary part (the Herglotz branch) of
+    y*S^2 + w*S + 1 = 0, w = z - (1-y)/z.  In the form S = -2 / (w + b) the
+    sum w + b has no cancellation, since Im w and Im b are both positive.
+    Takes a scalar z or an array of z and returns the same shape.
+    """
+    w, b = _w_and_b(z, y)
+    return _like(z, -2.0 / (w + b))
+
+
+def b_function(z: "ComplexPoint | complex | np.ndarray",
+               y: float) -> "complex | np.ndarray":
+    """b(z) = z - (1-y)/z + 2*y*S_y(z)  (equivalently -1/S + y*S).
+
+    Equal to sqrt(w^2 - 4y) on the Herglotz branch; scalar or array z.
+    """
+    _, b = _w_and_b(z, y)
+    return _like(z, b)
 
 
 def mp_density(x: float, y: float) -> float:
@@ -187,28 +208,6 @@ def prior_bound_tn(z: "ComplexPoint | complex", n: int, p: float, C0: float, y: 
 
 
 @dataclass(frozen=True)
-class BoundSpec:
-    """All deterministic envelopes at one (z, n, p, C0) configuration."""
-
-    C0: float
-    gamma_n: float
-    d: float
-    d_n: float
-    t_script: float
-
-
-def bound_eval(z: "ComplexPoint | complex", n: int, p: float, C0: float, y: float) -> BoundSpec:
-    zc = _as_complex(z)
-    return BoundSpec(
-        C0=float(C0),
-        gamma_n=gamma_n(n, p, zc.imag, C0),
-        d=d_function(zc, y),
-        d_n=d_n_function(zc, n, p, y),
-        t_script=prior_bound_tn(zc, n, p, C0, y),
-    )
-
-
-@dataclass(frozen=True)
 class DomainSpec:
     """Rectangular scan domain in the upper half-plane.
 
@@ -281,18 +280,3 @@ def domain_grid(spec: DomainSpec, y: float) -> list[ComplexPoint]:
         for u in us:
             points.append(ComplexPoint(float(u), float(v)))
     return points
-
-
-def write_grid_csv(path, points: Sequence[ComplexPoint], y: float, n: int, p: float,
-                   C0: float) -> None:
-    """Export law/envelope evaluations over a grid as CSV."""
-    lines = ["u,v,ReS,ImS,Reb,Imb,gamma_n,t_script"]
-    for pt in points:
-        S = stieltjes_mp(pt, y)
-        b = b_function(pt, y)
-        g = gamma_n(n, p, pt.v, C0)
-        t = prior_bound_tn(pt, n, p, C0, y)
-        lines.append(",".join(repr(float(x)) for x in
-                              (pt.u, pt.v, S.real, S.imag, b.real, b.imag, g, t)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import eigvalsh
 
 from .errors import NumericalError, ParameterError
 from .model import SampledMatrix
-from .mplaw import ComplexPoint, _as_complex
+from .mplaw import ComplexPoint, _as_complex, _like
 
 
 @dataclass(frozen=True)
@@ -85,20 +85,14 @@ def squared_singular_values(x: SampledMatrix) -> np.ndarray:
         raise NumericalError(f"Gram eigensolver failed for shape {x.scaled.shape}: {exc}") from exc
 
 
-def esd(spec: SpectrumResult, x: float) -> float:
-    """Symmetrized empirical spectral CDF F_n(x) over the points {+-s_j}."""
-    s = np.sort(spec.singulars)
-    n = s.size
-    pos = np.searchsorted(s, x, side="right")         # s_j <= x
-    neg = n - np.searchsorted(s, -x, side="left")      # -s_j <= x
-    return (pos + neg) / (2.0 * n)
+def stieltjes_esd(s2: np.ndarray,
+                  z: "ComplexPoint | complex | np.ndarray") -> "complex | np.ndarray":
+    """s_n(z) = (1/n) sum_j z / (s_j^2 - z^2) from the squared singular values s2.
 
-
-def stieltjes_esd(spec: SpectrumResult, z: "ComplexPoint | complex") -> complex:
-    """s_n(z) = (1/n) sum_j z / (s_j^2 - z^2)."""
-    zc = _as_complex(z)
-    s = spec.singulars
-    return complex(np.mean(zc / (s * s - zc * zc)))
+    Takes a scalar z or an array of z and returns the same shape.
+    """
+    zs = np.atleast_1d(_as_complex(z))[..., None]
+    return _like(z, (zs / (s2 - zs * zs)).mean(axis=-1))
 
 
 def _diag_factors(s: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
@@ -280,13 +274,3 @@ def esd_histogram(spec: SpectrumResult, edges: np.ndarray) -> np.ndarray:
     sym = np.concatenate([-spec.singulars, spec.singulars])
     counts, _ = np.histogram(sym, bins=edges)
     return counts
-
-
-def write_esd_histogram_csv(path, spec: SpectrumResult, edges: Sequence[float]) -> None:
-    edges = np.asarray(edges, dtype=float)
-    counts = esd_histogram(spec, edges)
-    lines = ["bin_left,bin_right,count"]
-    for i, c in enumerate(counts):
-        lines.append(f"{float(edges[i])!r},{float(edges[i + 1])!r},{int(c)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,5 +1,7 @@
 """Shared helpers: independent brute-force oracles used across test modules."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,23 @@ def dense_resolvent(scaled: np.ndarray, z: complex) -> np.ndarray:
     """Resolvent by direct dense inversion; the oracle for the SVD assembly."""
     v = block_matrix(scaled)
     return np.linalg.inv(v - z * np.eye(v.shape[0]))
+
+
+def stieltjes_mp_oracle(z: complex, y: float) -> complex:
+    """S_y(z) by the quadratic formula in cmath, with an explicit branch pick.
+
+    The root of y S^2 + w S + 1 = 0 is taken with the square root aligned
+    with w (no cancellation), the other root from the product 1/y, and the
+    one with positive imaginary part is returned.  The oracle for the
+    closed form in ``sparsemp.mplaw``.
+    """
+    w = z - (1.0 - y) / z
+    disc = cmath.sqrt(w * w - 4.0 * y)
+    if (w.real * disc.real + w.imag * disc.imag) < 0.0:
+        disc = -disc
+    big = -(w + disc) / (2.0 * y)
+    small = 1.0 / (y * big)
+    return big if big.imag > 0.0 else small
 
 
 def gaussian_params(n: int, m: int, p: float, seed: int, delta: float = 2.0) -> sm.ModelParams:

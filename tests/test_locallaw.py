@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 import sparsemp as sm
 from sparsemp import (CORRECTION_SIGNS, ComplexPoint, DomainSpec,
                       IdentityFailureError, ParameterError, SampledMatrix)
+from sparsemp.locallaw import ladder_levels
+from sparsemp.mplaw import _u_band
+from sparsemp.spectral import squared_singular_values
 
 from conftest import dense_resolvent, gaussian_params, zero_sample
 
@@ -49,10 +52,10 @@ def oracle_corrections(x, z, p, j, side):
 
 def test_lambda_symmetry_in_u(medium_sample):
     _, x = medium_sample
-    spec = sm.singular_values(x)
+    s2 = sm.singular_values(x).singulars ** 2
     for u, v in ((0.8, 0.3), (1.4, 0.05), (0.2, 1.0)):
-        a = abs(sm.lambda_n(spec, complex(u, v), 0.5))
-        b = abs(sm.lambda_n(spec, complex(-u, v), 0.5))
+        a = abs(sm.lambda_n(s2, complex(u, v), 0.5))
+        b = abs(sm.lambda_n(s2, complex(-u, v), 0.5))
         assert abs(a - b) < 1e-12
 
 
@@ -60,10 +63,7 @@ def test_lambda_dense_calibration_large_n():
     # dense p=1 surrogate of the limit: Lambda at z=i must be small
     params = gaussian_params(4000, 8000, 1.0, seed=314)
     x = sm.sample_matrix(params, 0)
-    s = np.linalg.svd(x.scaled, compute_uv=False)
-    spec = sm.SpectrumResult(singulars=s, left_vectors=np.empty((4000, 0)),
-                             right_vectors=np.empty((8000, 0)))
-    assert abs(sm.lambda_n(spec, 1j, 0.5)) < 0.05
+    assert abs(sm.lambda_n(squared_singular_values(x), 1j, 0.5)) < 0.05
 
 
 @pytest.mark.parametrize("side", ["row", "column"])
@@ -132,8 +132,7 @@ def test_audit_unique_convention_n2():
     assert audit.max_residual < 1e-10
     # alternate conventions are off by order one, not machine precision
     S = sm.stieltjes_mp(z, 0.5)
-    spec = sm.singular_values(x)
-    lam = sm.lambda_n(spec, z, 0.5)
+    lam = sm.lambda_n(sm.singular_values(x).singulars ** 2, z, 0.5)
     for rep in audit:
         r = rep.r_diag
         for sa, sb, sc in ((1, 1, 1), (-1, 1, 1), (1, -1, -1), (-1, -1, -1)):
@@ -187,22 +186,43 @@ def test_self_consistent_fixed_point_algebra():
     assert abs(s_fake - S * (1 + y * lam * s_fake)) > 1e-3
 
 
+def ladder_sups(s2, domain, s0, y):
+    """Per-level sup_u |Lambda_n| by a loop of scalar lambda_n calls (the oracle)."""
+    _, levels = ladder_levels(domain.v0, domain.V, s0)
+    sups = []
+    for lvl in levels:
+        lo, hi = _u_band(domain, y, lvl)
+        sup = 0.0
+        for u in np.linspace(lo, hi, domain.grid_u):
+            for sign in (-1.0, 1.0):
+                sup = max(sup, abs(sm.lambda_n(s2, complex(sign * u, lvl), y)))
+        sups.append(sup)
+    return sups
+
+
 def test_multiscale_ladder_counts():
     # v0 = 0.1 by choosing a0 accordingly; s0 = 2, V = 1 -> k_v = 4, 5 levels
     n = 2000
     a0 = 0.1 * n / math.log(n) ** 4
     dom = DomainSpec(kind="d_mu", a0=a0, V=1.0, n=n, grid_u=4, grid_v=2, mu=0.2)
     params = gaussian_params(60, 120, 0.5, seed=3)
-    spec = sm.singular_values(sm.sample_matrix(params, 0))
-    lad = sm.multiscale_ladder(spec, dom, gamma=1e9, s0=2.0, y=0.5)
+    s2 = sm.singular_values(sm.sample_matrix(params, 0)).singulars ** 2
+    lad = sm.multiscale_ladder(s2, dom, gamma=1e9, s0=2.0, y=0.5)
     assert lad.k_v == 4
     assert len(lad.levels) == 5
     assert lad.levels[0] == pytest.approx(0.1, rel=1e-12)
     assert lad.levels[-1] == pytest.approx(1.6, rel=1e-12)
     assert lad.all_pass
-    lad0 = sm.multiscale_ladder(spec, dom, gamma=0.0, s0=2.0, y=0.5)
+    lad0 = sm.multiscale_ladder(s2, dom, gamma=0.0, s0=2.0, y=0.5)
     assert not any(lad0.gamma_flags)
     assert set(lad.flags_by_level()) == set(lad.levels)
+    # a gamma between the smallest and largest per-level sup splits the flags
+    sups = ladder_sups(s2, dom, 2.0, 0.5)
+    gamma = 0.5 * (min(sups) + max(sups))
+    assert min(sups) < gamma < max(sups)
+    lad_mid = sm.multiscale_ladder(s2, dom, gamma=gamma, s0=2.0, y=0.5)
+    assert lad_mid.gamma_flags == tuple(sup <= gamma for sup in sups)
+    assert any(lad_mid.gamma_flags) and not all(lad_mid.gamma_flags)
 
 
 def test_locallaw_scan_plumbing():

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import sparsemp as sm
 from sparsemp import ComplexPoint, DomainSpec, ParameterError, QuadratureError
+
+from conftest import stieltjes_mp_oracle
 
 
 def _random_points(count, seed=0, umax=3.0, vmin=1e-3, vmax=3.0):
@@ -42,6 +46,41 @@ def test_b_dual_forms_agree():
             s = sm.stieltjes_mp(z, y)
             b = sm.b_function(z, y)
             assert abs(b - (-1.0 / s + y * s)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(pts=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(1e-3, 3.0)),
+                    min_size=1, max_size=40),
+       y=st.floats(0.05, 0.95))
+def test_law_identities_property(pts, y):
+    z = np.array([complex(u, v) for u, v in pts])
+    s = sm.stieltjes_mp(z, y)
+    b = sm.b_function(z, y)
+    assert s.shape == b.shape == z.shape
+    w = z - (1 - y) / z
+    assert np.all(s.imag > 0)
+    assert np.abs(y * s * s + w * s + 1.0).max() <= 1e-12
+    assert np.abs(b - (-1.0 / s + y * s)).max() <= 1e-12
+    assert np.abs(b - (w + 2.0 * y * s)).max() <= 1e-12
+    for i, zi in enumerate(z):
+        zi = complex(zi)
+        assert sm.stieltjes_mp(zi, y) == s[i]
+        assert sm.b_function(zi, y) == b[i]
+        oracle = stieltjes_mp_oracle(zi, y)
+        assert abs(s[i] - oracle) <= 1e-12 * abs(oracle)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(size=st.integers(1, 10), data=st.data(),
+       bad_v=st.sampled_from([0.0, -0.0, -1e-300, -0.5, math.nan]))
+def test_array_z_with_nonpositive_imag_rejected(size, data, bad_v):
+    z = np.full(size, complex(0.5, 0.25))
+    z[data.draw(st.integers(0, size - 1))] = complex(0.5, bad_v)
+    for f in (sm.stieltjes_mp, sm.b_function):
+        with pytest.raises(ParameterError):
+            f(z, 0.5)
+    with pytest.raises(ParameterError):
+        sm.stieltjes_esd(np.ones(3), z)
 
 
 def test_stieltjes_asymptotic_minus_one_over_z():
@@ -169,14 +208,6 @@ def test_prior_bound_doubling_n_non_increasing():
                 assert b <= a + 1e-12
 
 
-def test_bound_eval_bundle():
-    z = ComplexPoint(1.0, 0.3)
-    spec = sm.bound_eval(z, 500, 0.1, 1.0, 0.5)
-    assert spec.gamma_n == pytest.approx(sm.gamma_n(500, 0.1, 0.3, 1.0), rel=1e-12)
-    assert spec.t_script == pytest.approx(sm.prior_bound_tn(z, 500, 0.1, 1.0, 0.5), rel=1e-12)
-    assert spec.d > 0 and spec.d_n > 0
-
-
 def test_domain_grid_dmu_band():
     spec = DomainSpec(kind="d_mu", a0=0.5, V=1.0, n=2000, grid_u=5, grid_v=4, mu=0.2)
     pts = sm.domain_grid(spec, 0.25)
@@ -224,15 +255,3 @@ def test_min_abs_b_nondecreasing_in_mu():
         eps.append(min(abs(sm.b_function(pt, y)) for pt in pts))
     assert eps[0] > 0
     assert all(b >= a - 1e-12 for a, b in zip(eps, eps[1:]))
-
-
-def test_write_grid_csv(tmp_path):
-    spec = DomainSpec(kind="d_mu", a0=0.5, V=1.0, n=2000, grid_u=2, grid_v=2, mu=0.2)
-    pts = sm.domain_grid(spec, 0.25)
-    path = tmp_path / "grid.csv"
-    sm.mplaw.write_grid_csv(path, pts, 0.25, 2000, 0.1, 1.0)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "u,v,ReS,ImS,Reb,Imb,gamma_n,t_script"
-    assert len(lines) == 1 + len(pts)
-    first = [float(t) for t in lines[1].split(",")]
-    assert first[0] == pts[0].u and first[1] == pts[0].v

@@ -49,27 +49,18 @@ def test_squared_singular_values_against_svd():
         np.testing.assert_allclose(squared_singular_values(x), oracle, rtol=0, atol=1e-12)
 
 
-def test_esd_values():
-    spec = sm.SpectrumResult(singulars=np.array([2.0, 1.0]),
-                             left_vectors=np.eye(2), right_vectors=np.eye(2))
-    assert sm.esd(spec, 2.0) == 1.0
-    assert sm.esd(spec, 5.0) == 1.0
-    assert sm.esd(spec, 0.0) == 0.5
-    assert sm.esd(spec, 1.5) == 0.75
-    assert sm.esd(spec, -5.0) == 0.0
-    # symmetry at continuity points
-    for t in (0.5, 1.5, 2.5):
-        assert sm.esd(spec, t) + sm.esd(spec, -t) == pytest.approx(1.0, abs=0)
-
-
 def test_stieltjes_esd_values():
-    spec0 = sm.SpectrumResult(singulars=np.zeros(4), left_vectors=np.eye(4),
-                              right_vectors=np.eye(4))
     z = complex(0.3, 0.8)
-    assert sm.stieltjes_esd(spec0, z) == pytest.approx(-1.0 / z, abs=1e-15)
-    spec1 = sm.SpectrumResult(singulars=np.array([1.0, 1.0]),
-                              left_vectors=np.eye(2), right_vectors=np.eye(2))
-    assert sm.stieltjes_esd(spec1, 10j) == pytest.approx(10j / 101.0, abs=1e-15)
+    assert sm.stieltjes_esd(np.zeros(4), z) == pytest.approx(-1.0 / z, abs=1e-15)
+    assert sm.stieltjes_esd(np.ones(2), 10j) == pytest.approx(10j / 101.0, abs=1e-15)
+    # an array of z keeps its shape and equals the per-z values
+    s2 = np.random.default_rng(3).uniform(0.0, 4.0, 25)
+    zs = np.array([[complex(0.3, 0.8), 10j, complex(-1.2, 1e-3)],
+                   [complex(2.0, 0.05), complex(0.0, 3.0), complex(0.9, 0.4)]])
+    out = sm.stieltjes_esd(s2, zs)
+    assert out.shape == zs.shape
+    for idx in np.ndindex(zs.shape):
+        assert out[idx] == sm.stieltjes_esd(s2, complex(zs[idx]))
 
 
 def test_stieltjes_esd_matches_resolvent_trace(medium_sample):
@@ -78,7 +69,7 @@ def test_stieltjes_esd_matches_resolvent_trace(medium_sample):
     for z in (complex(0.5, 0.4), complex(-1.2, 0.15), complex(0.0, 2.0)):
         r = sm.resolvent_from_spectrum(spec, z)
         trace = np.trace(r.entries[:x.n, :x.n]) / x.n
-        assert abs(trace - sm.stieltjes_esd(spec, z)) < 1e-10
+        assert abs(trace - sm.stieltjes_esd(spec.singulars ** 2, z)) < 1e-10
 
 
 def test_resolvent_one_by_one_hand_case():
@@ -327,9 +318,5 @@ def test_csv_exports(tmp_path, medium_sample):
     assert lines[0] == "index,singular_value"
     assert len(lines) == 1 + 30
     assert float(lines[1].split(",")[1]) == pytest.approx(spec.singulars[0], rel=1e-15)
-    p2 = tmp_path / "hist.csv"
-    edges = np.linspace(-2, 2, 9)
-    sm.spectral.write_esd_histogram_csv(p2, spec, edges)
-    rows = p2.read_text().strip().splitlines()[1:]
-    counts = [int(r.split(",")[2]) for r in rows]
-    assert sum(counts) == 60   # all +-s_j fall inside [-2, 2]
+    counts = sm.spectral.esd_histogram(spec, np.linspace(-2, 2, 9))
+    assert counts.sum() == 60   # all +-s_j fall inside [-2, 2]
