@@ -11,7 +11,7 @@ from .configuration import (ConfigurationMatrix, ConfigurationReport,
                             inadmissibility_probability)
 from .errors import (DegenerateConditioningError, DivergentMomentError,
                      ExactEnumerationError, IdentityFailureError,
-                     NumericalError, ParameterError, QuadratureError)
+                     NumericalError, ParameterError)
 from .locallaw import (AuditResult, CorrectionReport, CORRECTION_SIGNS,
                        LocalLawReport, MultiscaleLadder, TnMomentResult,
                        correction_terms, error_term_tn, lambda_n,
@@ -36,7 +36,7 @@ __all__ = [
     "DivergentMomentError", "DomainSpec", "EntryDistribution",
     "ExactEnumerationError", "IdentityFailureError", "LocalLawReport",
     "MCEstimate", "ModelParams", "MultiscaleLadder",
-    "NumericalError", "ParameterError", "QuadratureError", "ResolventEval",
+    "NumericalError", "ParameterError", "ResolventEval",
     "SampledMatrix", "SpectrumResult", "TnMomentResult", "b_function",
     "bilinear_moment_exact", "bilinear_moment_mc", "check_c0",
     "classify", "classify_sample", "concentration_evaluate",

@@ -9,14 +9,6 @@ class DivergentMomentError(ParameterError):
     """The requested absolute moment does not exist for the distribution."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
-    def __init__(self, message: str, achieved: float):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class NumericalError(RuntimeError):
     """A numerical kernel (SVD, eigensolver) failed to converge."""
 

@@ -79,12 +79,6 @@ class CorrectionReport:
     def eps_total(self) -> complex:
         return self.eps1 + self.eps2 + self.eps3
 
-    @property
-    def eps_effective(self) -> complex:
-        """The combination that balances the identity: eps1 - eps2 - eps3."""
-        _, sb, _ = CORRECTION_SIGNS
-        return self.eps1 + sb * (self.eps2 + self.eps3)
-
 
 def _correction_arrays(x: SampledMatrix, spec: SpectrumResult, z: complex, p: float,
                        side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -497,12 +491,12 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
 
     def one(rep: int) -> float | None:
         x = sample_matrix(params, rep)
-        spec = singular_values(x)
-        ladder = multiscale_ladder(spec.singulars ** 2, domain, gamma, s0, y)
+        ladder = multiscale_ladder(squared_singular_values(x), domain, gamma, s0, y)
         if not ladder.all_pass:
             return None
         if q == 0:
             return 1.0
+        spec = singular_values(x)
         return abs(_t_n(*_correction_arrays(x, spec, zc, params.p, ROW))) ** q
 
     values = [val for val in map_replications(one, replications, workers) if val is not None]

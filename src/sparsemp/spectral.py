@@ -54,10 +54,6 @@ class ResolventEval:
     entries: np.ndarray
     labels: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def singular_values(x: SampledMatrix) -> SpectrumResult:
     """Full SVD of the scaled matrix; raises NumericalError on non-convergence."""

@@ -3,6 +3,8 @@ import copy
 import importlib.util
 import io
 import json
+import math
+import subprocess
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -374,6 +376,13 @@ def _without(payload: dict, path: tuple) -> dict:
     ("tn-moments", _with(TN_MOMENTS, ("gamma",), None), "gamma"),
     ("tn-moments", _with(TN_MOMENTS, ("gamma",), 10 ** 400), "gamma"),
     ("audit", _with(AUDIT, ("model",), [1, 2]), "model"),
+    ("spectrum", {"model": MODEL, "bins": 0}, "bins"),
+    ("spectrum", {"model": MODEL, "bins": -1}, "bins"),
+    ("concentration", _with(CONCENTRATION, ("k",), -1), "k"),
+    ("audit", _with(AUDIT, ("tolerance",), 0.0), "tolerance"),
+    ("audit", _with(AUDIT, ("tolerance",), -1.0), "tolerance"),
+    ("audit", _with(AUDIT, ("tolerance",), math.nan), "tolerance"),
+    ("audit", _with(AUDIT, ("tolerance",), math.inf), "tolerance"),
 ])
 def test_motivating_configs_exit_2(cfg_dir, command, payload, key):
     code, err = run_cli(cfg_dir, command, payload)
@@ -409,3 +418,13 @@ def test_benchmark_configs_load():
         for smoke in (True, False):
             for k in range(4):
                 assert isinstance(_load(cls, w.make_config(1, k, smoke)), cls)
+
+
+def test_cli_import_skips_quadrature_and_optimize():
+    # the CLI's start-up cost: neither subpackage is needed by the library
+    code = ("import sys, sparsemp.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(sm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import sparsemp as sm
-from sparsemp import ComplexPoint, DomainSpec, ParameterError, QuadratureError
+from sparsemp import ComplexPoint, DomainSpec, ParameterError
 
 from conftest import stieltjes_mp_oracle
 
@@ -125,8 +125,8 @@ def test_density_mass_one(y):
 def test_cdf_normalization_symmetry_support():
     y = 0.3
     b = sm.mp_edges(y)[1]
-    assert sm.mp_cdf(b, y, 1e-8) == pytest.approx(1.0, abs=1e-8)
-    assert sm.mp_cdf(10.0, y, 1e-8) == 1.0
+    assert sm.mp_cdf(b, y) == pytest.approx(1.0, abs=1e-8)
+    assert sm.mp_cdf(10.0, y) == 1.0
     assert sm.mp_cdf(0.0, y) == 0.5
     assert sm.mp_cdf(-b, y) == pytest.approx(0.0, abs=1e-10)
     assert sm.mp_cdf(-10.0, y) == 0.0
@@ -137,10 +137,29 @@ def test_cdf_normalization_symmetry_support():
         assert sm.mp_cdf(t, y) + sm.mp_cdf(-t, y) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_cdf_unreachable_tolerance_raises():
-    with pytest.raises(QuadratureError) as exc:
-        sm.mp_cdf(1.0, 0.3, tol=1e-300)
-    assert exc.value.achieved > 0
+@pytest.mark.parametrize("y", [0.01, 0.1, 0.3, 0.5, 0.9, 0.99])
+def test_cdf_closed_form_against_quadrature(y):
+    a, b = sm.mp_edges(y)
+    edges = [a, b, a + 1e-9, b - 1e-9]
+    xs = np.concatenate([np.linspace(-2.2, 2.2, 89), edges, np.negative(edges)])
+    got = sm.mp_cdf(xs, y)
+    assert got.shape == xs.shape
+    for x, g in zip(xs, got):
+        t = abs(float(x))
+        if t <= a:
+            oracle = 0.5
+        elif t >= b:
+            oracle = 1.0 if x > 0 else 0.0
+        else:
+            mass, _ = quad(sm.mp_density, a, t, args=(y,), epsabs=1e-14, epsrel=1e-14,
+                           limit=200)
+            oracle = 0.5 + math.copysign(mass, x)
+        assert abs(g - oracle) <= 1e-12
+        assert sm.mp_cdf(float(x), y) == g
+    grid = np.stack([xs, -xs])
+    assert np.array_equal(sm.mp_cdf(grid, y)[0], got)
+    assert np.array_equal(sm.mp_density(grid, y),
+                          [[sm.mp_density(float(x), y) for x in row] for row in grid])
 
 
 def test_gamma_n_frozen_and_properties():
