@@ -7,8 +7,8 @@ from .concentration import (ConcentrationInput, ConcentrationReport,
                             bilinear_moment_exact, bilinear_moment_mc,
                             evaluate as concentration_evaluate, lemma_rhs)
 from .configuration import (ConfigurationMatrix, ConfigurationReport,
-                            build_configuration, classify, classify_sample,
-                            inadmissibility_probability)
+                            classify, inadmissibility_probability,
+                            sample_configuration)
 from .errors import (DegenerateConditioningError, DivergentMomentError,
                      ExactEnumerationError, IdentityFailureError,
                      NumericalError, ParameterError)
@@ -19,7 +19,7 @@ from .locallaw import (AuditResult, CorrectionReport, CORRECTION_SIGNS,
                        self_consistency_audit, tn_moment_study)
 from .mc import MCEstimate
 from .model import (EntryDistribution, ModelParams, SampledMatrix, check_c0,
-                    moment_4_delta, sample_matrix)
+                    moment_4_delta, present_magnitudes, sample_matrix)
 from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
                     d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
                     mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
@@ -39,13 +39,14 @@ __all__ = [
     "NumericalError", "ParameterError", "ResolventEval",
     "SampledMatrix", "SpectrumResult", "TnMomentResult", "b_function",
     "bilinear_moment_exact", "bilinear_moment_mc", "check_c0",
-    "classify", "classify_sample", "concentration_evaluate",
-    "build_configuration", "correction_terms", "d_function", "d_n_function",
+    "classify", "concentration_evaluate", "correction_terms", "d_function",
+    "d_n_function",
     "domain_grid", "error_term_tn", "gamma_n", "gamma_n_theorem1",
     "inadmissibility_probability", "lambda_n", "lemma_rhs", "locallaw_scan",
     "max_entry", "moment_4_delta", "mp_cdf", "mp_density", "mp_edges",
-    "multiscale_ladder", "prior_bound_tn", "resolvent",
+    "multiscale_ladder", "present_magnitudes", "prior_bound_tn", "resolvent",
     "resolvent_from_spectrum", "resolvent_max_abs", "resolvent_minor",
-    "sample_matrix", "self_consistency_audit", "singular_values",
+    "sample_configuration", "sample_matrix", "self_consistency_audit",
+    "singular_values",
     "stieltjes_esd", "stieltjes_mp", "tn_moment_study",
 ]

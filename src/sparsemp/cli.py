@@ -24,13 +24,14 @@ import jsonschema
 import numpy as np
 
 from . import concentration as conc
-from .configuration import classify_sample, inadmissibility_probability
+from .configuration import (classify, inadmissibility_probability,
+                            sample_configuration)
 from .errors import (DegenerateConditioningError, IdentityFailureError,
                      NumericalError, ParameterError)
 from .locallaw import locallaw_scan, self_consistency_audit, tn_moment_study
 from .model import EntryDistribution, ModelParams, sample_matrix
 from .mplaw import ComplexPoint, DomainSpec, mp_cdf, mp_density, mp_edges
-from .spectral import esd_histogram, singular_values, write_spectrum_csv
+from .spectral import esd_histogram, squared_singular_values, write_spectrum_csv
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -118,6 +119,8 @@ class SweepConfig:
             raise ParameterError("exactly one of np_product or p must be set")
         if not self.n_values:
             raise ParameterError("n_values must be nonempty")
+        if not (0.0 < self.y <= 1.0):   # also rejects NaN
+            raise ParameterError(f"config key 'y' must lie in (0, 1], got {self.y!r}")
 
     def params_for(self, n: int) -> ModelParams:
         m = round(n / self.y)
@@ -142,6 +145,15 @@ class ConfigAnalyzeConfig:
     replications: int = 1000
     report_sample: bool = True
     deviant_threshold: float | None = None
+
+    def __post_init__(self):
+        if not (self.threshold_c > 0.0):   # also rejects NaN
+            raise ParameterError(
+                f"config key 'threshold_c' must be positive, got {self.threshold_c!r}")
+        if self.deviant_threshold is not None and not (0.0 < self.deviant_threshold < math.inf):
+            raise ParameterError(
+                "config key 'deviant_threshold' must be positive and finite, "
+                f"got {self.deviant_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -278,13 +290,14 @@ def cmd_spectrum(cfg: SpectrumConfig, out_dir: Path, workers: int | None) -> int
     y = params.y
     a_edge, b_edge = mp_edges(y)
     x = sample_matrix(params, cfg.replication)
-    spec = singular_values(x)
-    write_spectrum_csv(out_dir / "singular_values.csv", spec)
+    # values only, descending; rounding can leave a zero square slightly negative
+    s = np.sqrt(np.maximum(squared_singular_values(x), 0.0))[::-1]
+    write_spectrum_csv(out_dir / "singular_values.csv", s)
 
-    top = float(spec.singulars[0]) if spec.singulars.size else 0.0
+    top = float(s[0]) if s.size else 0.0
     hi = max(b_edge, top) * 1.02
     edges = np.linspace(-hi, hi, cfg.bins + 1)
-    counts = esd_histogram(spec, edges)
+    counts = esd_histogram(s, edges)
     width = edges[1] - edges[0]
     n2 = 2 * params.n
     emp = counts / (n2 * width)
@@ -348,8 +361,8 @@ def cmd_config_analyze(cfg: ConfigAnalyzeConfig, out_dir: Path,
                                           workers=workers)
         rows.append(f"{n},{_fmt(params.p)},{_fmt(est.value)},{_fmt(est.stderr)}")
         if cfg.report_sample:
-            report = classify_sample(sample_matrix(params, 0), params,
-                                     cfg.threshold_c, cfg.deviant_threshold)
+            report = classify(sample_configuration(params, 0, cfg.threshold_c),
+                              params.n, params.m, params.p, cfg.deviant_threshold)
             _write_json(out_dir / f"config_report_n{n}.json", report.to_dict(),
                         schema="config_report.schema.json")
     _write_csv(out_dir / "inadmissibility.csv", "n,p,estimate,stderr", rows)

@@ -5,12 +5,16 @@ value clears the threshold C (n p)^(1/2 - kappa).  Indices touched by a link
 are *deviant*; the block layout puts rows at 0..n-1 and columns at n..n+m-1.
 A configuration is inadmissible when it has at least sqrt(n/p) deviant
 indices, or a connected set of at least max(floor(log n), 2) indices.
+
+The links are few (about 45 at n = 800, p = 50/n), so they are drawn as
+coordinates straight from the sampling streams and never as an n x m array.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -19,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import ParameterError
 from .mc import MCEstimate, binomial_estimate, map_replications
-from .model import ModelParams, SampledMatrix, sample_matrix
+from .model import ModelParams, present_magnitudes
 
 ADMISSIBLE = "admissible"
 DEVIANT_INADMISSIBLE = "deviant_inadmissible"
@@ -29,42 +33,74 @@ BOTH = "both"
 
 @dataclass(frozen=True)
 class ConfigurationMatrix:
-    """Link pattern L_jk = xi_jk * 1{|X_jk| >= C (n p)^(1/2 - kappa)}."""
+    """Link pattern L_jk = xi_jk * 1{|X_jk| >= C (n p)^(1/2 - kappa)}.
 
-    links: np.ndarray        # n x m uint8
+    ``links`` holds the coordinates (rows j, columns k) of the links, in
+    row-major order, as ``np.nonzero`` returns them for a dense pattern.
+    """
+
+    links: tuple[np.ndarray, np.ndarray]
+    shape: tuple[int, int]
     threshold_c: float
     kappa: float
 
     @property
     def n(self) -> int:
-        return self.links.shape[0]
+        return self.shape[0]
 
     @property
     def m(self) -> int:
-        return self.links.shape[1]
+        return self.shape[1]
 
 
-def build_configuration(x: SampledMatrix, params: ModelParams,
-                        threshold_c: float = 1.0) -> ConfigurationMatrix:
+def sample_configuration(params: ModelParams, replication: int = 0,
+                         threshold_c: float = 1.0) -> ConfigurationMatrix:
+    """The link pattern of ``sample_matrix(params, replication)``, bit for bit.
+
+    Only the mask stream and the first-stage draw of the raw stream are
+    taken (see ``model.present_magnitudes``); the sample itself is never built.
+    """
     if not (threshold_c > 0.0):
         raise ParameterError(f"threshold_c must be positive, got {threshold_c!r}")
     kappa = params.kappa()
     cut = threshold_c * (params.n * params.p) ** (0.5 - kappa)
-    links = (x.mask.astype(bool) & (np.abs(x.raw) >= cut)).astype(np.uint8)
-    return ConfigurationMatrix(links=links, threshold_c=float(threshold_c), kappa=kappa)
+    flat, mag = present_magnitudes(params, replication)
+    links = np.divmod(flat[mag >= cut], params.m)
+    return ConfigurationMatrix(links=links, shape=(params.n, params.m),
+                               threshold_c=float(threshold_c), kappa=kappa)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfigurationReport:
-    """Classification of one link pattern over the n+m block indices."""
+    """Classification of one link pattern over the n+m block indices.
 
-    deviant: tuple[int, ...]
-    typical: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
+    ``labels`` gives each block index its connected component and
+    ``deviant_mask`` flags the deviant indices.  The verdict needs only
+    their counts; the index tuples are built when they are first read.
+    """
+
+    labels: np.ndarray
+    deviant_mask: np.ndarray
     deviant_count: int
     r_threshold: int
     deviant_threshold: float
     verdict: str
+
+    @cached_property
+    def deviant(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.deviant_mask).tolist())
+
+    @cached_property
+    def typical(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(~self.deviant_mask).tolist())
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The full partition, singletons included, each component ascending."""
+        members = np.argsort(self.labels, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.labels)).tolist()
+        # disjoint tuples sort by their smallest member
+        return tuple(sorted(tuple(members[a:b]) for a, b in zip([0] + ends[:-1], ends)))
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -89,29 +125,24 @@ def connectivity_threshold(n: int) -> int:
 def classify(config: ConfigurationMatrix, n: int, m: int, p: float,
              deviant_threshold: float | None = None) -> ConfigurationReport:
     """Deviant/typical split, connected components, admissibility verdict."""
-    if config.links.shape != (n, m):
+    if config.shape != (n, m):
         raise ParameterError(
-            f"links shape {config.links.shape} does not match (n, m) = ({n}, {m})"
+            f"links shape {config.shape} does not match (n, m) = ({n}, {m})"
         )
     if deviant_threshold is None:
         deviant_threshold = math.sqrt(n / p)
     # the bipartite link graph on rows 0..n-1 and columns n..n+m-1
-    j, k = np.divmod(np.flatnonzero(config.links), m)
+    j, k = config.links
     total = n + m
     graph = coo_matrix((np.ones(j.size, dtype=np.int8), (j, n + k)), shape=(total, total))
     _, labels = connected_components(graph, directed=False)
-    members = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    # disjoint tuples sort by their smallest member
-    components = sorted(tuple(members[a:b]) for a, b in zip([0] + ends[:-1], ends))
     deviant_mask = np.zeros(total, dtype=bool)
     deviant_mask[j] = True
     deviant_mask[n + k] = True
-    deviant = tuple(np.flatnonzero(deviant_mask).tolist())
-    typical = tuple(np.flatnonzero(~deviant_mask).tolist())
+    deviant_count = int(np.count_nonzero(deviant_mask))
     r_thr = connectivity_threshold(n)
-    dev_bad = len(deviant) >= deviant_threshold
-    conn_bad = any(len(c) >= r_thr for c in components)
+    dev_bad = deviant_count >= deviant_threshold
+    conn_bad = int(np.bincount(labels).max()) >= r_thr
     if dev_bad and conn_bad:
         verdict = BOTH
     elif dev_bad:
@@ -121,20 +152,13 @@ def classify(config: ConfigurationMatrix, n: int, m: int, p: float,
     else:
         verdict = ADMISSIBLE
     return ConfigurationReport(
-        deviant=deviant,
-        typical=typical,
-        components=tuple(components),
-        deviant_count=len(deviant),
+        labels=labels,
+        deviant_mask=deviant_mask,
+        deviant_count=deviant_count,
         r_threshold=r_thr,
         deviant_threshold=float(deviant_threshold),
         verdict=verdict,
     )
-
-
-def classify_sample(x: SampledMatrix, params: ModelParams, threshold_c: float = 1.0,
-                    deviant_threshold: float | None = None) -> ConfigurationReport:
-    config = build_configuration(x, params, threshold_c)
-    return classify(config, params.n, params.m, params.p, deviant_threshold)
 
 
 def inadmissibility_probability(params: ModelParams, threshold_c: float,
@@ -146,8 +170,8 @@ def inadmissibility_probability(params: ModelParams, threshold_c: float,
         raise ParameterError(f"replications must be >= 100, got {replications}")
 
     def one(rep: int) -> bool:
-        x = sample_matrix(params, rep)
-        report = classify_sample(x, params, threshold_c, deviant_threshold)
+        config = sample_configuration(params, rep, threshold_c)
+        report = classify(config, params.n, params.m, params.p, deviant_threshold)
         return report.verdict != ADMISSIBLE
 
     flags = map_replications(one, replications, workers)

@@ -6,8 +6,10 @@ The observation matrix is
 
 where the X_jk are i.i.d. mean-zero unit-variance draws from a chosen entry
 distribution and the xi_jk are independent Bernoulli(p) presence indicators.
-Raw draws and the mask are kept alongside the scaled matrix because the
-thresholded-configuration analysis needs the untruncated entries.
+Raw draws and the mask are kept alongside the scaled matrix.  The
+thresholded-configuration analysis needs only the untruncated magnitudes at
+the present entries; ``present_magnitudes`` reads them from the same streams
+without drawing the whole sample.
 """
 
 from __future__ import annotations
@@ -72,13 +74,29 @@ class EntryDistribution:
         if self.kind == GAUSSIAN:
             return rng.standard_normal(shape)
         if self.kind == RADEMACHER:
-            return 2.0 * rng.integers(0, 2, size=shape).astype(np.float64) - 1.0
+            return _signs(rng, shape)
         # symmetric Pareto by inverse CDF on the magnitude, then a sign flip
-        u = rng.random(shape)
-        mag = u ** (-1.0 / self.alpha)
-        sign = 2.0 * rng.integers(0, 2, size=shape).astype(np.float64) - 1.0
-        sd = math.sqrt(self.alpha / (self.alpha - 2.0))
-        return sign * mag / sd
+        mag = self._pareto_magnitude(rng.random(shape))
+        return _signs(rng, shape) * mag
+
+    def magnitudes_at(self, rng: np.random.Generator, shape: tuple[int, ...],
+                      flat: np.ndarray) -> np.ndarray:
+        """|X| at the flat indices ``flat`` of a draw of ``shape``.
+
+        Bit-identical to ``np.abs(self.sample(rng, shape)).ravel()[flat]``,
+        but only the first-stage draw is taken from ``rng`` (the uniforms of
+        the Pareto variant, the normals of the Gaussian one, nothing for
+        Rademacher) and evaluated at ``flat``.  A sign is +-1, so it changes
+        no magnitude bit.
+        """
+        if self.kind == RADEMACHER:
+            return np.ones(flat.size)
+        if self.kind == GAUSSIAN:
+            return np.abs(rng.standard_normal(shape).ravel()[flat])
+        return self._pareto_magnitude(rng.random(shape).ravel()[flat])
+
+    def _pareto_magnitude(self, u: np.ndarray) -> np.ndarray:
+        return u ** (-1.0 / self.alpha) / math.sqrt(self.alpha / (self.alpha - 2.0))
 
     def abs_moment(self, r: float) -> float:
         """E|X|^r in closed form. Raises if the moment diverges."""
@@ -197,10 +215,17 @@ class SampledMatrix:
         )
 
 
-def _streams(seed: int, replication: int) -> tuple[np.random.Generator, np.random.Generator]:
+def _signs(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    return 2.0 * rng.integers(0, 2, size=shape).astype(np.float64) - 1.0
+
+
+def _streams(params: ModelParams,
+             replication: int) -> tuple[np.random.Generator, np.random.Generator]:
     # splittable counter-based scheme: Philox keyed by (seed, replication),
     # with separate children for the raw draws and the mask
-    root = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
+    if not isinstance(replication, int) or replication < 0:
+        raise ParameterError(f"replication must be a nonnegative integer, got {replication!r}")
+    root = np.random.SeedSequence(entropy=params.seed, spawn_key=(replication,))
     raw_ss, mask_ss = root.spawn(2)
     return (
         np.random.Generator(np.random.Philox(raw_ss)),
@@ -208,16 +233,32 @@ def _streams(seed: int, replication: int) -> tuple[np.random.Generator, np.rando
     )
 
 
+def _present(mask_rng: np.random.Generator, params: ModelParams) -> np.ndarray:
+    return mask_rng.random((params.n, params.m)) < params.p
+
+
 def sample_matrix(params: ModelParams, replication: int = 0) -> SampledMatrix:
     """Draw one sparse sample matrix, bit-reproducible for (seed, replication)."""
-    if not isinstance(replication, int) or replication < 0:
-        raise ParameterError(f"replication must be a nonnegative integer, got {replication!r}")
-    raw_rng, mask_rng = _streams(params.seed, replication)
-    shape = (params.n, params.m)
-    raw = params.dist.sample(raw_rng, shape)
-    mask = (mask_rng.random(shape) < params.p).astype(np.uint8)
+    raw_rng, mask_rng = _streams(params, replication)
+    raw = params.dist.sample(raw_rng, (params.n, params.m))
+    mask = _present(mask_rng, params).astype(np.uint8)
     scaled = raw * mask / math.sqrt(params.m * params.p)
     return SampledMatrix(raw=raw, mask=mask, scaled=scaled)
+
+
+def present_magnitudes(params: ModelParams,
+                       replication: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the present entries of one draw, and |X| at them.
+
+    For ``x = sample_matrix(params, replication)`` the pair is bit-identical
+    to ``np.flatnonzero(x.mask)`` and ``np.abs(x.raw).ravel()`` at those
+    indices, from the same two streams, but neither the signs nor any
+    n x m float array beyond the streams' own fills is made.
+    """
+    raw_rng, mask_rng = _streams(params, replication)
+    flat = np.flatnonzero(_present(mask_rng, params))
+    return flat, params.dist.magnitudes_at(raw_rng, (params.n, params.m), flat)
+
 
 
 def moment_4_delta(dist: EntryDistribution, delta: float) -> float:

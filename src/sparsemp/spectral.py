@@ -257,16 +257,16 @@ def resolvent_max_abs(spec: SpectrumResult, z: "ComplexPoint | complex",
     return math.sqrt(best)
 
 
-def write_spectrum_csv(path, spec: SpectrumResult) -> None:
+def write_spectrum_csv(path, singulars: np.ndarray) -> None:
     lines = ["index,singular_value"]
-    for i, s in enumerate(spec.singulars):
+    for i, s in enumerate(singulars):
         lines.append(f"{i},{float(s)!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def esd_histogram(spec: SpectrumResult, edges: np.ndarray) -> np.ndarray:
+def esd_histogram(singulars: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Counts of the symmetrized spectrum {+-s_j} over the given bin edges."""
-    sym = np.concatenate([-spec.singulars, spec.singulars])
+    sym = np.concatenate([-singulars, singulars])
     counts, _ = np.histogram(sym, bins=edges)
     return counts

@@ -174,7 +174,8 @@ def test_criterion_06_configuration_oracle():
         m = int(rng.integers(n, 13 - n))
         links = (rng.random((n, m)) < rng.uniform(0.05, 0.5)).astype(np.uint8)
         p = float(rng.uniform(0.2, 1.0))
-        cfg = sm.ConfigurationMatrix(links=links, threshold_c=1.0, kappa=0.1)
+        cfg = sm.ConfigurationMatrix(links=np.nonzero(links), shape=(n, m),
+                                     threshold_c=1.0, kappa=0.1)
         rep = sm.classify(cfg, n, m, p)
         dev_o, comps_o, verdict_o = oracle_classify(links, n, m, p)
         if (frozenset(rep.deviant) != dev_o or frozenset(rep.components) != comps_o
@@ -184,8 +185,8 @@ def test_criterion_06_configuration_oracle():
     bound = sm.moment_4_delta(PARETO6, 1.0) / (500 ** 2 * 0.1)
     means = []
     for r in range(10):
-        x = sm.sample_matrix(params, r)
-        means.append(sm.build_configuration(x, params, threshold_c=1.0).links.mean())
+        links = sm.sample_configuration(params, r, threshold_c=1.0).links
+        means.append(links[0].size / (500 * 1000))
     mean = float(np.mean(means))
     se = math.sqrt(max(mean, 1e-9) / (10 * 500 * 1000))
     markov_ok = mean <= bound + 3 * se

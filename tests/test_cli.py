@@ -383,6 +383,22 @@ def _without(payload: dict, path: tuple) -> dict:
     ("audit", _with(AUDIT, ("tolerance",), -1.0), "tolerance"),
     ("audit", _with(AUDIT, ("tolerance",), math.nan), "tolerance"),
     ("audit", _with(AUDIT, ("tolerance",), math.inf), "tolerance"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("sweep", "y"), 0.0), "y"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("sweep", "y"), math.nan), "y"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("sweep", "y"), 1.5), "y"),
+    ("locallaw", _with(_locallaw_payload(), ("sweep", "y"), 0.0), "y"),
+    ("locallaw", _with(_locallaw_payload(), ("sweep", "y"), math.nan), "y"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("deviant_threshold",), math.nan),
+     "deviant_threshold"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("deviant_threshold",), -1.0),
+     "deviant_threshold"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("deviant_threshold",), 0.0),
+     "deviant_threshold"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("deviant_threshold",), math.inf),
+     "deviant_threshold"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("threshold_c",), 0.0), "threshold_c"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("threshold_c",), -0.5), "threshold_c"),
+    ("config-analyze", _with(CONFIG_ANALYZE, ("threshold_c",), math.nan), "threshold_c"),
 ])
 def test_motivating_configs_exit_2(cfg_dir, command, payload, key):
     code, err = run_cli(cfg_dir, command, payload)

@@ -49,11 +49,22 @@ def oracle_classify(links, n, m, p, deviant_threshold=None):
     return frozenset(deviant), frozenset(comps), verdict
 
 
+def oracle_links(params, replication, threshold_c):
+    """The dense link pattern mask & (|raw| >= cut) of the full sample."""
+    x = sm.sample_matrix(params, replication)
+    cut = threshold_c * (params.n * params.p) ** (0.5 - params.kappa())
+    return x.mask.astype(bool) & (np.abs(x.raw) >= cut)
+
+
+def dense_config(links):
+    return ConfigurationMatrix(links=np.nonzero(links), shape=links.shape,
+                               threshold_c=1.0, kappa=0.1)
+
+
 def test_no_links_when_threshold_huge():
     params = gaussian_params(10, 20, 0.8, seed=3)
-    x = sm.sample_matrix(params, 0)
-    cfg = sm.build_configuration(x, params, threshold_c=1e9)
-    assert not cfg.links.any()
+    cfg = sm.sample_configuration(params, 0, threshold_c=1e9)
+    assert cfg.links[0].size == 0 and cfg.links[1].size == 0
     rep = sm.classify(cfg, 10, 20, 0.8)
     assert rep.verdict == "admissible"
     assert rep.deviant_count == 0
@@ -61,14 +72,10 @@ def test_no_links_when_threshold_huge():
 
 
 def test_single_huge_entry_two_deviants():
-    params = gaussian_params(4, 8, 1.0, seed=5)
-    x = sm.sample_matrix(params, 0)
     raw = np.zeros((4, 8))
     raw[2, 5] = 1e6
-    x = sm.SampledMatrix(raw=raw, mask=x.mask, scaled=raw * x.mask / math.sqrt(8))
-    cfg = sm.build_configuration(x, params, threshold_c=1.0)
-    assert cfg.links.sum() == 1
-    rep = sm.classify(cfg, 4, 8, 1.0)
+    links = np.abs(raw) >= (4 * 1.0) ** (0.5 - 0.1)   # p = 1: every entry present
+    rep = sm.classify(dense_config(links), 4, 8, 1.0)
     assert rep.deviant == (2, 4 + 5)
     assert rep.deviant_count == 2
 
@@ -76,26 +83,75 @@ def test_single_huge_entry_two_deviants():
 def test_links_bitwise_formula():
     params = sm.ModelParams(n=30, m=60, p=0.4, dist=EntryDistribution.pareto(6.0),
                             delta=1.0, seed=11)
-    x = sm.sample_matrix(params, 0)
     c = 0.4
-    cfg = sm.build_configuration(x, params, threshold_c=c)
-    kappa = params.kappa()
-    cut = c * (30 * 0.4) ** (0.5 - kappa)
-    expected = (x.mask.astype(bool) & (np.abs(x.raw) >= cut))
-    np.testing.assert_array_equal(cfg.links.astype(bool), expected)
-    assert cfg.kappa == kappa
-    # links only where the mask is set
-    assert not (cfg.links.astype(bool) & ~x.mask.astype(bool)).any()
+    cfg = sm.sample_configuration(params, 0, threshold_c=c)
+    expected = oracle_links(params, 0, c)
+    assert expected.any()
+    for got, want in zip(cfg.links, np.nonzero(expected)):
+        np.testing.assert_array_equal(got, want)
+    assert cfg.shape == (30, 60)
+    assert cfg.kappa == params.kappa()
+    assert cfg.threshold_c == c
+
+
+SHAPES = ((12, 12), (30, 60), (7, 100))
+DISTS = (
+    (EntryDistribution.gaussian(), 2.0),
+    (EntryDistribution.rademacher(), 2.0),
+    (EntryDistribution.pareto(6.0), 1.0),
+    (EntryDistribution.pareto(4.8), 0.5),
+)
+
+
+@pytest.mark.parametrize("dist, delta", DISTS)
+@pytest.mark.parametrize("n, m", SHAPES)
+@pytest.mark.parametrize("p", (1.0, 0.3))
+@pytest.mark.parametrize("c", (1e-6, 0.3, 0.8, 1e9))
+def test_sample_configuration_matches_dense_oracle(dist, delta, n, m, p, c):
+    params = sm.ModelParams(n=n, m=m, p=p, dist=dist, delta=delta, seed=41)
+    for rep in (0, 1, 7):
+        cfg = sm.sample_configuration(params, rep, threshold_c=c)
+        expected = oracle_links(params, rep, c)
+        for got, want in zip(cfg.links, np.nonzero(expected)):
+            np.testing.assert_array_equal(got, want)
+        if c == 1e-6:   # every present entry is a link
+            present = sm.sample_matrix(params, rep).mask.astype(bool)
+            np.testing.assert_array_equal(expected, present)
+        if c == 1e9:
+            assert not expected.any()
+
+
+@pytest.mark.parametrize("dist, delta, p, c", [
+    (EntryDistribution.gaussian(), 2.0, 0.15, 1.5),
+    # |X| = 1: every present entry is a link, so only a sparse mask leaves some
+    # configurations admissible
+    (EntryDistribution.rademacher(), 2.0, 0.004, 0.3),
+    (EntryDistribution.pareto(6.0), 1.0, 0.15, 0.9),
+    (EntryDistribution.pareto(4.8), 0.5, 0.15, 0.9),
+])
+def test_inadmissibility_count_matches_oracle_route(dist, delta, p, c):
+    params = sm.ModelParams(n=24, m=48, p=p, dist=dist, delta=delta, seed=43)
+    reps = 100
+    est = sm.inadmissibility_probability(params, threshold_c=c, replications=reps)
+    oracle = sum(oracle_classify(oracle_links(params, r, c), 24, 48, p)[2] != "admissible"
+                 for r in range(reps))
+    assert 0 < oracle < reps   # both verdicts occur
+    assert round(est.value * reps) == oracle
+    assert est.value == oracle / reps
 
 
 def test_threshold_monotonicity():
     params = sm.ModelParams(n=20, m=40, p=0.5, dist=EntryDistribution.pareto(6.0),
                             delta=1.0, seed=13)
-    x = sm.sample_matrix(params, 0)
-    prev = sm.build_configuration(x, params, threshold_c=0.1).links
+
+    def linked(c):
+        j, k = sm.sample_configuration(params, 0, threshold_c=c).links
+        return set(zip(j.tolist(), k.tolist()))
+
+    prev = linked(0.1)
     for c in (0.2, 0.4, 0.8, 1.6):
-        cur = sm.build_configuration(x, params, threshold_c=c).links
-        assert not (cur & ~prev).any()   # raising C never adds links
+        cur = linked(c)
+        assert cur <= prev   # raising C never adds links
         prev = cur
 
 
@@ -107,8 +163,7 @@ def test_classify_matches_bfs_oracle():
         assert n + m <= 12
         links = (rng.random((n, m)) < rng.uniform(0.05, 0.5)).astype(np.uint8)
         p = float(rng.uniform(0.2, 1.0))
-        cfg = ConfigurationMatrix(links=links, threshold_c=1.0, kappa=0.1)
-        rep = sm.classify(cfg, n, m, p)
+        rep = sm.classify(dense_config(links), n, m, p)
         dev_o, comps_o, verdict_o = oracle_classify(links, n, m, p)
         assert frozenset(rep.deviant) == dev_o
         assert frozenset(rep.components) == comps_o
@@ -126,8 +181,7 @@ def test_classify_spec_example_component():
     links = np.zeros((3, 3), dtype=np.uint8)
     links[0, 0] = 1
     links[1, 0] = 1
-    cfg = ConfigurationMatrix(links=links, threshold_c=1.0, kappa=0.1)
-    rep = sm.classify(cfg, 3, 3, 0.5)
+    rep = sm.classify(dense_config(links), 3, 3, 0.5)
     assert (0, 1, 3) in rep.components
     assert rep.deviant_count == 3
     assert rep.deviant == (0, 1, 3)
@@ -135,16 +189,14 @@ def test_classify_spec_example_component():
 
 def test_small_n_connectivity_floor():
     links = np.ones((2, 2), dtype=np.uint8)
-    cfg = ConfigurationMatrix(links=links, threshold_c=1.0, kappa=0.1)
-    rep = sm.classify(cfg, 2, 2, 0.5)
+    rep = sm.classify(dense_config(links), 2, 2, 0.5)
     assert rep.r_threshold == 2   # floor(log 2) = 0 is floored to 2
     assert max(len(c) for c in rep.components) == 4
     assert rep.verdict in ("connected_inadmissible", "both")
 
 
 def test_classify_shape_mismatch():
-    cfg = ConfigurationMatrix(links=np.zeros((2, 3), dtype=np.uint8),
-                              threshold_c=1.0, kappa=0.1)
+    cfg = dense_config(np.zeros((2, 3), dtype=np.uint8))
     with pytest.raises(ParameterError):
         sm.classify(cfg, 3, 3, 0.5)
 
@@ -155,9 +207,8 @@ def test_markov_bound_gaussian():
     bound = sm.moment_4_delta(params.dist, 4.0) / (500 ** 2 * 0.1)
     means = []
     for rep in range(4):
-        x = sm.sample_matrix(params, rep)
-        cfg = sm.build_configuration(x, params, threshold_c=1.0)
-        means.append(cfg.links.mean())
+        cfg = sm.sample_configuration(params, rep, threshold_c=1.0)
+        means.append(cfg.links[0].size / (500 * 1000))
     mean = float(np.mean(means))
     se = math.sqrt(max(mean, 1e-12) / (4 * 500 * 1000))
     assert mean <= bound + 3 * se
@@ -166,8 +217,7 @@ def test_markov_bound_gaussian():
 def test_deviant_set_equals_edge_endpoints():
     rng = np.random.default_rng(23)
     links = (rng.random((5, 7)) < 0.2).astype(np.uint8)
-    cfg = ConfigurationMatrix(links=links, threshold_c=1.0, kappa=0.1)
-    rep = sm.classify(cfg, 5, 7, 0.5)
+    rep = sm.classify(dense_config(links), 5, 7, 0.5)
     endpoints = set()
     for j, k in np.argwhere(links):
         endpoints.add(int(j))
@@ -200,7 +250,7 @@ def test_inadmissibility_replication_floor():
 def test_custom_deviant_threshold():
     links = np.zeros((4, 4), dtype=np.uint8)
     links[0, 0] = 1
-    cfg = ConfigurationMatrix(links=links, threshold_c=1.0, kappa=0.1)
+    cfg = dense_config(links)
     relaxed = sm.classify(cfg, 4, 4, 1.0, deviant_threshold=100.0)
     strict = sm.classify(cfg, 4, 4, 1.0, deviant_threshold=1.0)
     assert relaxed.deviant_threshold == 100.0

@@ -51,6 +51,24 @@ def test_bit_reproducible_and_streams_independent():
     assert not np.array_equal(a.mask, d.mask)
 
 
+@pytest.mark.parametrize("dist, delta", [
+    (EntryDistribution.gaussian(), 2.0),
+    (EntryDistribution.rademacher(), 2.0),
+    (EntryDistribution.pareto(6.0), 1.0),
+    (EntryDistribution.pareto(4.8), 0.5),
+])
+@pytest.mark.parametrize("p", [1.0, 0.2])
+def test_present_magnitudes_bitwise_from_sample(dist, delta, p):
+    params = ModelParams(n=13, m=29, p=p, dist=dist, delta=delta, seed=77)
+    for rep in (0, 3):
+        x = sm.sample_matrix(params, rep)
+        flat, mag = sm.present_magnitudes(params, rep)
+        np.testing.assert_array_equal(flat, np.flatnonzero(x.mask))
+        np.testing.assert_array_equal(mag, np.abs(x.raw).ravel()[flat])
+    with pytest.raises(ParameterError):
+        sm.present_magnitudes(params, -1)
+
+
 @pytest.mark.parametrize("dist", [
     EntryDistribution.gaussian(),
     EntryDistribution.rademacher(),

@@ -313,10 +313,10 @@ def test_csv_exports(tmp_path, medium_sample):
     _, x = medium_sample
     spec = sm.singular_values(x)
     p1 = tmp_path / "spectrum.csv"
-    sm.spectral.write_spectrum_csv(p1, spec)
+    sm.spectral.write_spectrum_csv(p1, spec.singulars)
     lines = p1.read_text().strip().splitlines()
     assert lines[0] == "index,singular_value"
     assert len(lines) == 1 + 30
     assert float(lines[1].split(",")[1]) == pytest.approx(spec.singulars[0], rel=1e-15)
-    counts = sm.spectral.esd_histogram(spec, np.linspace(-2, 2, 9))
+    counts = sm.spectral.esd_histogram(spec.singulars, np.linspace(-2, 2, 9))
     assert counts.sum() == 60   # all +-s_j fall inside [-2, 2]
