@@ -1,24 +1,26 @@
 """Alternating parent/change runs of the campaign benchmark, recorded as BENCH_<tag>.json.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N --tag T
-        [--seed S] [--seconds S] [--parent-rev REV] [--change-rev REV] [--out PATH]
+        [--seed S] [--parent-rev REV] [--change-rev REV]
 
 PARENT_DIR and CHANGE_DIR are two source checkouts (a git clone or a
 ``git archive`` of each commit).  Pair i runs ``python3 perfbench/run.py
---workload W`` once in each checkout, the parent first in even pairs and the
-change first in odd ones, so that drift of the host's speed favours neither
-side.  Each run uses the benchmark code of its own checkout; compare only
-checkouts whose ``perfbench/`` is the same.
+--workload W --seconds S`` once in each checkout, with S the ``run_seconds``
+of the change's BENCHMARK.json, the parent first in even pairs and the change
+first in odd ones, so that drift of the host's speed favours neither side.
+Each run uses the benchmark code of its own checkout; compare only checkouts
+whose ``perfbench/`` is the same.
 
 The record holds every run's metrics, each side's median and quartiles per
 metric, how many pairs the change won (the direction of "better" is read from
 the change's BENCHMARK.json; ties count for neither side) and whether that
-meets the rule for a speed claim: at least nine tenths of the pairs won and a
-median gain larger than the parent's interquartile range.  Provenance gives
-both revisions, a SHA-256 over each checkout's ``src/`` and ``perfbench/``,
-nproc, and the numpy and scipy versions.  The record goes to
-``BENCH_<tag>.json`` at the root of the repository that holds this script,
-or to ``--out``.
+meets the rule for a speed claim: every change run passed the benchmark's
+gate, the change failed no more operations than the parent, at least nine
+tenths of the pairs were won and the median gain is larger than the parent's
+interquartile range.  Provenance gives both revisions, a SHA-256 over each
+checkout's ``src/`` and ``perfbench/``, nproc, and the numpy and scipy
+versions.  The record goes to ``BENCH_<tag>.json`` at the root of the
+repository that holds this script.
 """
 
 from __future__ import annotations
@@ -82,8 +84,17 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
+def gate(runs: list[dict]) -> dict:
+    """Per side: did every run pass the benchmark's gate, and how many operations failed."""
+    return {side: {"all_correct": all(r["correct"] for r in runs if r["side"] == side),
+                   "failed": sum(r["failed"] for r in runs if r["side"] == side)}
+            for side in SIDES}
+
+
 def summarize(runs: list[dict], pairs: int, better: dict[str, str]) -> dict:
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
+    g = gate(runs)
+    gate_ok = g["change"]["all_correct"] and g["change"]["failed"] <= g["parent"]["failed"]
     summary = {}
     for metric in runs[0]["metrics"]:
         sign = 1.0 if better.get(metric, "lower") == "lower" else -1.0
@@ -105,7 +116,7 @@ def summarize(runs: list[dict], pairs: int, better: dict[str, str]) -> dict:
                 stats["change"]["median"] / stats["parent"]["median"]
                 if stats["parent"]["median"] else None,
             "parent_iqr": parent_iqr,
-            "claim_holds": wins >= 0.9 * pairs and gain > parent_iqr,
+            "claim_holds": gate_ok and wins >= 0.9 * pairs and gain > parent_iqr,
         }
     return summary
 
@@ -119,11 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--tag", required=True)
     ap.add_argument("--seed", type=int, default=None,
                     help="workload seed (default: the benchmark's reference seed)")
-    ap.add_argument("--seconds", type=float, default=25.0,
-                    help="perfbench --seconds, the same on both sides")
     ap.add_argument("--parent-rev", help="revision label when PARENT_DIR is no git checkout")
     ap.add_argument("--change-rev", help="revision label when CHANGE_DIR is no git checkout")
-    ap.add_argument("--out", type=Path, help="output path (default: BENCH_<tag>.json)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -134,12 +142,13 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((dirs["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec.get("end_to_end", [])}
+    seconds = float(spec["run_seconds"])
 
     runs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for position, side in enumerate(order):
-            res = run_once(dirs[side], args.workload, args.seed, args.seconds)
+            res = run_once(dirs[side], args.workload, args.seed, seconds)
             runs.append({"pair": i, "side": side, "position": position, **res})
             print(f"pair {i} {side}: " + ", ".join(
                 f"{k}={v:.4g}" for k, v in res["metrics"].items())
@@ -149,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pairs": args.pairs,
         "order": "parent first in even pairs, change first in odd pairs",
         "provenance": {
@@ -163,10 +172,11 @@ def main(argv: list[str] | None = None) -> int:
             "scipy": scipy.__version__,
             "machine": platform.machine(),
         },
+        "gate": gate(runs),
         "summary": summarize(runs, args.pairs, better),
         "runs": runs,
     }
-    out = args.out or ROOT / f"BENCH_{args.tag}.json"
+    out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for metric, s in record["summary"].items():
         print(f"{metric}: parent {s['parent']['median']:.4g} "

@@ -19,7 +19,7 @@ from .locallaw import (AuditResult, CorrectionReport, CORRECTION_SIGNS,
                        self_consistency_audit, tn_moment_study)
 from .mc import MCEstimate
 from .model import (EntryDistribution, ModelParams, SampledMatrix, check_c0,
-                    moment_4_delta, present_magnitudes, sample_matrix)
+                    moment_4_delta, sample_matrix)
 from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
                     d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
                     mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
@@ -44,7 +44,7 @@ __all__ = [
     "domain_grid", "error_term_tn", "gamma_n", "gamma_n_theorem1",
     "inadmissibility_probability", "lambda_n", "lemma_rhs", "locallaw_scan",
     "max_entry", "moment_4_delta", "mp_cdf", "mp_density", "mp_edges",
-    "multiscale_ladder", "present_magnitudes", "prior_bound_tn", "resolvent",
+    "multiscale_ladder", "prior_bound_tn", "resolvent",
     "resolvent_from_spectrum", "resolvent_max_abs", "resolvent_minor",
     "sample_configuration", "sample_matrix", "self_consistency_audit",
     "singular_values",

@@ -362,7 +362,7 @@ def cmd_config_analyze(cfg: ConfigAnalyzeConfig, out_dir: Path,
         rows.append(f"{n},{_fmt(params.p)},{_fmt(est.value)},{_fmt(est.stderr)}")
         if cfg.report_sample:
             report = classify(sample_configuration(params, 0, cfg.threshold_c),
-                              params.n, params.m, params.p, cfg.deviant_threshold)
+                              params.p, cfg.deviant_threshold)
             _write_json(out_dir / f"config_report_n{n}.json", report.to_dict(),
                         schema="config_report.schema.json")
     _write_csv(out_dir / "inadmissibility.csv", "n,p,estimate,stderr", rows)

@@ -122,13 +122,10 @@ def connectivity_threshold(n: int) -> int:
     return max(int(math.floor(math.log(n))), 2)
 
 
-def classify(config: ConfigurationMatrix, n: int, m: int, p: float,
+def classify(config: ConfigurationMatrix, p: float,
              deviant_threshold: float | None = None) -> ConfigurationReport:
     """Deviant/typical split, connected components, admissibility verdict."""
-    if config.shape != (n, m):
-        raise ParameterError(
-            f"links shape {config.shape} does not match (n, m) = ({n}, {m})"
-        )
+    n, m = config.shape
     if deviant_threshold is None:
         deviant_threshold = math.sqrt(n / p)
     # the bipartite link graph on rows 0..n-1 and columns n..n+m-1
@@ -171,7 +168,7 @@ def inadmissibility_probability(params: ModelParams, threshold_c: float,
 
     def one(rep: int) -> bool:
         config = sample_configuration(params, rep, threshold_c)
-        report = classify(config, params.n, params.m, params.p, deviant_threshold)
+        report = classify(config, params.p, deviant_threshold)
         return report.verdict != ADMISSIBLE
 
     flags = map_replications(one, replications, workers)

@@ -176,7 +176,7 @@ def test_criterion_06_configuration_oracle():
         p = float(rng.uniform(0.2, 1.0))
         cfg = sm.ConfigurationMatrix(links=np.nonzero(links), shape=(n, m),
                                      threshold_c=1.0, kappa=0.1)
-        rep = sm.classify(cfg, n, m, p)
+        rep = sm.classify(cfg, p)
         dev_o, comps_o, verdict_o = oracle_classify(links, n, m, p)
         if (frozenset(rep.deviant) != dev_o or frozenset(rep.components) != comps_o
                 or rep.verdict != verdict_o):

@@ -10,6 +10,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +65,34 @@ def test_spectrum_dense_calibration_gap(tmp_path):
     assert main(["spectrum", "--config", cfg, "--out-dir", str(out)]) == 0
     summary = json.loads((out / "spectrum_summary.json").read_text())
     assert summary["sup_gap_interior"] < 0.05
+
+
+def test_spectrum_rank_deficient_resolution(tmp_path):
+    # m p = 3: about 5% of the rows are empty, so s has exact zeros.  The
+    # Gram route resolves s only down to about sqrt(n eps) s_max: a zero reads
+    # up to ~1e-8 s_max, every other value keeps full relative accuracy
+    # above 1e-3 s_max, and no histogram count moves.
+    model = {"n": 200, "m": 400, "p": 0.0075, "dist": "rademacher", "delta": 1.0,
+             "seed": 4}
+    cfg = write_cfg(tmp_path, "sparse.json", {"model": model})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(out)]) == 0
+    x = sm.sample_matrix(ModelParams(n=200, m=400, p=0.0075,
+                                     dist=EntryDistribution.rademacher(), delta=1.0,
+                                     seed=4), 0)
+    empty_rows = int(np.count_nonzero(~x.scaled.any(axis=1)))
+    assert empty_rows > 0
+    ref = np.linalg.svd(x.scaled, compute_uv=False)
+    s = np.loadtxt(out / "singular_values.csv", delimiter=",", skiprows=1)[:, 1]
+    assert s.shape == ref.shape and np.all(np.diff(s) <= 0) and s.min() >= 0.0
+    top = ref[0]
+    assert np.max(np.abs(s - ref)) <= 1e-7 * top
+    big = ref >= 1e-3 * top
+    assert np.max(np.abs(s[big] - ref[big]) / ref[big]) <= 1e-10
+    assert np.count_nonzero(s < 1e-6 * top) == np.count_nonzero(ref < 1e-6 * top) >= empty_rows
+    hist = np.loadtxt(out / "esd_histogram.csv", delimiter=",", skiprows=1)
+    edges = np.append(hist[:, 0], hist[-1, 1])
+    assert np.array_equal(hist[:, 2], np.histogram(np.concatenate([-ref, ref]), edges)[0])
 
 
 def test_spectrum_bad_params_exit_2(tmp_path):

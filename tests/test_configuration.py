@@ -65,7 +65,7 @@ def test_no_links_when_threshold_huge():
     params = gaussian_params(10, 20, 0.8, seed=3)
     cfg = sm.sample_configuration(params, 0, threshold_c=1e9)
     assert cfg.links[0].size == 0 and cfg.links[1].size == 0
-    rep = sm.classify(cfg, 10, 20, 0.8)
+    rep = sm.classify(cfg, 0.8)
     assert rep.verdict == "admissible"
     assert rep.deviant_count == 0
     assert len(rep.typical) == 30
@@ -75,7 +75,7 @@ def test_single_huge_entry_two_deviants():
     raw = np.zeros((4, 8))
     raw[2, 5] = 1e6
     links = np.abs(raw) >= (4 * 1.0) ** (0.5 - 0.1)   # p = 1: every entry present
-    rep = sm.classify(dense_config(links), 4, 8, 1.0)
+    rep = sm.classify(dense_config(links), 1.0)
     assert rep.deviant == (2, 4 + 5)
     assert rep.deviant_count == 2
 
@@ -163,7 +163,7 @@ def test_classify_matches_bfs_oracle():
         assert n + m <= 12
         links = (rng.random((n, m)) < rng.uniform(0.05, 0.5)).astype(np.uint8)
         p = float(rng.uniform(0.2, 1.0))
-        rep = sm.classify(dense_config(links), n, m, p)
+        rep = sm.classify(dense_config(links), p)
         dev_o, comps_o, verdict_o = oracle_classify(links, n, m, p)
         assert frozenset(rep.deviant) == dev_o
         assert frozenset(rep.components) == comps_o
@@ -181,7 +181,7 @@ def test_classify_spec_example_component():
     links = np.zeros((3, 3), dtype=np.uint8)
     links[0, 0] = 1
     links[1, 0] = 1
-    rep = sm.classify(dense_config(links), 3, 3, 0.5)
+    rep = sm.classify(dense_config(links), 0.5)
     assert (0, 1, 3) in rep.components
     assert rep.deviant_count == 3
     assert rep.deviant == (0, 1, 3)
@@ -189,16 +189,10 @@ def test_classify_spec_example_component():
 
 def test_small_n_connectivity_floor():
     links = np.ones((2, 2), dtype=np.uint8)
-    rep = sm.classify(dense_config(links), 2, 2, 0.5)
+    rep = sm.classify(dense_config(links), 0.5)
     assert rep.r_threshold == 2   # floor(log 2) = 0 is floored to 2
     assert max(len(c) for c in rep.components) == 4
     assert rep.verdict in ("connected_inadmissible", "both")
-
-
-def test_classify_shape_mismatch():
-    cfg = dense_config(np.zeros((2, 3), dtype=np.uint8))
-    with pytest.raises(ParameterError):
-        sm.classify(cfg, 3, 3, 0.5)
 
 
 def test_markov_bound_gaussian():
@@ -217,7 +211,7 @@ def test_markov_bound_gaussian():
 def test_deviant_set_equals_edge_endpoints():
     rng = np.random.default_rng(23)
     links = (rng.random((5, 7)) < 0.2).astype(np.uint8)
-    rep = sm.classify(dense_config(links), 5, 7, 0.5)
+    rep = sm.classify(dense_config(links), 0.5)
     endpoints = set()
     for j, k in np.argwhere(links):
         endpoints.add(int(j))
@@ -251,7 +245,7 @@ def test_custom_deviant_threshold():
     links = np.zeros((4, 4), dtype=np.uint8)
     links[0, 0] = 1
     cfg = dense_config(links)
-    relaxed = sm.classify(cfg, 4, 4, 1.0, deviant_threshold=100.0)
-    strict = sm.classify(cfg, 4, 4, 1.0, deviant_threshold=1.0)
+    relaxed = sm.classify(cfg, 1.0, deviant_threshold=100.0)
+    strict = sm.classify(cfg, 1.0, deviant_threshold=1.0)
     assert relaxed.deviant_threshold == 100.0
     assert strict.verdict in ("deviant_inadmissible", "both")

@@ -62,11 +62,11 @@ def test_present_magnitudes_bitwise_from_sample(dist, delta, p):
     params = ModelParams(n=13, m=29, p=p, dist=dist, delta=delta, seed=77)
     for rep in (0, 3):
         x = sm.sample_matrix(params, rep)
-        flat, mag = sm.present_magnitudes(params, rep)
+        flat, mag = sm.model.present_magnitudes(params, rep)
         np.testing.assert_array_equal(flat, np.flatnonzero(x.mask))
         np.testing.assert_array_equal(mag, np.abs(x.raw).ravel()[flat])
     with pytest.raises(ParameterError):
-        sm.present_magnitudes(params, -1)
+        sm.model.present_magnitudes(params, -1)
 
 
 @pytest.mark.parametrize("dist", [
