@@ -12,10 +12,9 @@ from .configuration import (ConfigurationMatrix, ConfigurationReport,
 from .errors import (DegenerateConditioningError, DivergentMomentError,
                      ExactEnumerationError, IdentityFailureError,
                      NumericalError, ParameterError)
-from .locallaw import (AuditResult, CorrectionReport, CORRECTION_SIGNS,
-                       LocalLawReport, MultiscaleLadder, TnMomentResult,
-                       correction_terms, error_term_tn, lambda_n,
-                       locallaw_scan, multiscale_ladder,
+from .locallaw import (AuditResult, CORRECTION_SIGNS, LocalLawReport,
+                       MultiscaleLadder, TnMomentResult, correction_terms,
+                       lambda_n, locallaw_scan, multiscale_ladder,
                        self_consistency_audit, tn_moment_study)
 from .mc import MCEstimate
 from .model import (EntryDistribution, ModelParams, SampledMatrix, check_c0,
@@ -23,8 +22,8 @@ from .model import (EntryDistribution, ModelParams, SampledMatrix, check_c0,
 from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
                     d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
                     mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
-from .spectral import (ResolventEval, SpectrumResult, max_entry,
-                       resolvent, resolvent_from_spectrum, resolvent_max_abs,
+from .spectral import (ResolventEval, SpectrumResult, resolvent,
+                       resolvent_from_spectrum, resolvent_max_abs,
                        resolvent_minor, singular_values, stieltjes_esd)
 
 __version__ = "0.1.0"
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditResult", "ComplexPoint", "ConcentrationInput",
     "ConcentrationReport", "ConfigurationMatrix", "ConfigurationReport",
-    "CorrectionReport", "CORRECTION_SIGNS", "DegenerateConditioningError",
+    "CORRECTION_SIGNS", "DegenerateConditioningError",
     "DivergentMomentError", "DomainSpec", "EntryDistribution",
     "ExactEnumerationError", "IdentityFailureError", "LocalLawReport",
     "MCEstimate", "ModelParams", "MultiscaleLadder",
@@ -41,9 +40,9 @@ __all__ = [
     "bilinear_moment_exact", "bilinear_moment_mc", "check_c0",
     "classify", "concentration_evaluate", "correction_terms", "d_function",
     "d_n_function",
-    "domain_grid", "error_term_tn", "gamma_n", "gamma_n_theorem1",
+    "domain_grid", "gamma_n", "gamma_n_theorem1",
     "inadmissibility_probability", "lambda_n", "lemma_rhs", "locallaw_scan",
-    "max_entry", "moment_4_delta", "mp_cdf", "mp_density", "mp_edges",
+    "moment_4_delta", "mp_cdf", "mp_density", "mp_edges",
     "multiscale_ladder", "prior_bound_tn", "resolvent",
     "resolvent_from_spectrum", "resolvent_max_abs", "resolvent_minor",
     "sample_configuration", "sample_matrix", "self_consistency_audit",

@@ -396,8 +396,7 @@ def cmd_concentration(cfg: ConcentrationConfig, out_dir: Path,
 def cmd_audit(cfg: AuditConfig, out_dir: Path, workers: int | None) -> int:
     params = cfg.model
     x = sample_matrix(params, cfg.replication)
-    audit = self_consistency_audit(x, ComplexPoint(cfg.u, cfg.v), params.y,
-                                   p=params.p, tol=cfg.tolerance)
+    audit = self_consistency_audit(x, ComplexPoint(cfg.u, cfg.v), tol=cfg.tolerance)
     _write_json(out_dir / "audit_report.json", {
         "schema_version": 1,
         "params": params.to_dict(),
@@ -408,8 +407,8 @@ def cmd_audit(cfg: AuditConfig, out_dir: Path, workers: int | None) -> int:
         "t_n": {"re": audit.t_n.real, "im": audit.t_n.imag},
         "residual_exact": audit.residual_exact,
         "residual_flipped": audit.residual_flipped,
-        "rows": [{"j": r.j, "identity_residual": r.identity_residual}
-                 for r in audit.reports],
+        "rows": [{"j": j, "identity_residual": r}
+                 for j, r in enumerate(audit.residuals.tolist())],
     }, schema="audit_report.schema.json")
     return EXIT_OK
 

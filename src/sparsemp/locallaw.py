@@ -13,16 +13,19 @@ The exact identity for diagonal entries is
                                          + y Lambda_n R_{l+n,l+n}),
 
 with eps = eps_1 - eps_2 - eps_3 (trace-difference term plus, centered-square
-and bilinear terms minus).  The convention was adjudicated by brute force at
-n = 2, where exactly one choice of signs balances to machine precision; it is
-frozen in CORRECTION_SIGNS and regression-tested.
+and bilinear terms minus).  The terms are computed from the scaled entries
+with 1/m weights (``correction_terms``), so the sparsity p cancels from the
+identity and the audit needs only the sample.  The convention was
+adjudicated by brute force at n = 2, where exactly one choice of signs
+balances to machine precision; it is frozen in CORRECTION_SIGNS and
+regression-tested.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -63,26 +66,19 @@ def lambda_n(s2: np.ndarray, z: "ComplexPoint | complex | np.ndarray",
     return stieltjes_esd(s2, z) - stieltjes_mp(z, y)
 
 
-@dataclass(frozen=True)
-class CorrectionReport:
-    """Correction terms and identity residual for one diagonal index."""
-
-    j: int
-    row_kind: str                 # "row" (j <= n) or "column" (l + n)
-    eps1: complex
-    eps2: complex
-    eps3: complex
-    r_diag: complex
-    identity_residual: float
-
-    @property
-    def eps_total(self) -> complex:
-        return self.eps1 + self.eps2 + self.eps3
-
-
-def _correction_arrays(x: SampledMatrix, spec: SpectrumResult, z: complex, p: float,
-                       side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def correction_terms(x: SampledMatrix, spec: SpectrumResult, z: "ComplexPoint | complex",
+                     side: str = ROW) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Correction terms eps_1..3 and the diagonal R entry for every index of a side.
+
+    In the scaled sample w = x.scaled the terms of index j read
+
+        eps_1 = (1/m) (tr R_22 - tr R^(j)_22),
+        eps_2 = sum_k (w_jk^2 - 1/m) R^(j)_kk,
+        eps_3 = sum_{k != l} w_jk w_jl R^(j)_kl,
+
+    with 1/m weights only: the 1/(m p) of the unscaled form is absorbed by
+    w = xi X / sqrt(m p), so p does not enter.  The column side swaps the
+    roles of the two blocks and takes w^T.
 
     Deleting row j of X deletes index j of the block matrix, so the minor
     resolvent follows from the full one by the Schur downdate
@@ -90,27 +86,25 @@ def _correction_arrays(x: SampledMatrix, spec: SpectrumResult, z: complex, p: fl
     row side, with A = U diag(s / (s^2 - z^2)) the off-diagonal block is
     B = A W^T, and the column corner of the minor has trace
     tr R_22 - |A_j|^2 / R_jj and diagonal diag R_22 - B_j^2 / R_jj.  The
-    column side swaps U and W.  Raw (unscaled) entries and the mask enter
-    with the explicit 1/(m p) weights; eps_1 carries 1/m on both sides.
+    column side swaps U and W.
     """
     if side == ROW:
         own, other = spec.left_vectors, spec.right_vectors
-        raw, mask = x.raw, x.mask
+        w = x.scaled
     elif side == COLUMN:
         own, other = spec.right_vectors, spec.left_vectors
-        raw, mask = x.raw.T, x.mask.T
+        w = x.scaled.T
     else:
         raise ParameterError(f"side must be {ROW!r} or {COLUMN!r}, got {side!r}")
-    mp_weight = x.m * p
-    d_proj, d_mid = _diag_factors(spec.singulars, z)
+    zc = _as_complex(z)
+    d_proj, d_mid = _diag_factors(spec.singulars, zc)
     a = own * d_mid
-    r_diag = (own * own) @ d_proj - 1.0 / z
-    corner_diag = (other * other) @ d_proj - 1.0 / z   # opposite corner, full matrix
-    w = raw * mask
+    r_diag = (own * own) @ d_proj - 1.0 / zc
+    corner_diag = (other * other) @ d_proj - 1.0 / zc   # opposite corner, full matrix
     w2 = w * w
-    centered = raw * w - p
+    centered = w2 - 1.0 / x.m
     proj = w @ other
-    quad = (proj * proj) @ d_proj - w2.sum(axis=1) / z
+    quad = (proj * proj) @ d_proj - w2.sum(axis=1) / zc
     bw = np.einsum("ij,ij->i", a, proj)                 # B_j . w_j
     # row sums of B_j^2 weighted by the centered squares and by w_j^2,
     # blocked so that B never exceeds _SCHUR_BLOCK rows
@@ -123,49 +117,17 @@ def _correction_arrays(x: SampledMatrix, spec: SpectrumResult, z: complex, p: fl
         b2_centered[lo:hi] = np.einsum("ij,ij->i", centered[lo:hi], b)
         b2_w2[lo:hi] = np.einsum("ij,ij->i", w2[lo:hi], b)
     eps1 = np.einsum("ij,ij->i", a, a) / (r_diag * x.m)
-    eps2 = (centered @ corner_diag - b2_centered / r_diag) / mp_weight
-    eps3 = (quad - bw * bw / r_diag - (w2 @ corner_diag - b2_w2 / r_diag)) / mp_weight
+    eps2 = centered @ corner_diag - b2_centered / r_diag
+    eps3 = quad - bw * bw / r_diag - (w2 @ corner_diag - b2_w2 / r_diag)
     return eps1, eps2, eps3, r_diag
 
 
-def _identity_base(z: complex, y: float, side: str) -> complex:
-    S = stieltjes_mp(z, y)
-    if side == ROW:
-        return S
-    return -1.0 / (z + y * S)
-
-
-def _identity_residual(base: complex, r_diag, eps, lam: complex, y: float,
+def _identity_residual(S: complex, r_diag, eps, lam: complex, y: float,
                        signs: tuple[float, float, float]):
-    """|R_jj - base (1 + ...)| for one index (scalars) or all of them (arrays)."""
+    """|R_jj - S (1 + ...)| for every row index j under one sign convention."""
     sa, sb, sc = signs
     eff = eps[0] + sb * (eps[1] + eps[2])
-    return abs(r_diag - base * (1.0 + sa * eff * r_diag + sc * y * lam * r_diag))
-
-
-def correction_terms(x: SampledMatrix, z: "ComplexPoint | complex", j: int,
-                     side: str = ROW, p: float | None = None) -> CorrectionReport:
-    """Correction terms eps_{j1..3} at J = K = empty, with identity residual.
-
-    ``p`` defaults to the empirical fill fraction of the mask; pass the model
-    p for exact agreement with the displayed centering.
-    """
-    zc = _as_complex(z)
-    spec = singular_values(x)
-    if p is None:
-        p = float(x.mask.mean())
-        if p <= 0.0:
-            raise ParameterError("cannot infer p from an all-zero mask; pass p explicitly")
-    y = x.n / x.m
-    eps1, eps2, eps3, r_diags = _correction_arrays(x, spec, zc, p, side)
-    if not (0 <= j < r_diags.size):
-        raise IndexError(f"{side} index {j} out of range [0, {r_diags.size})")
-    e1, e2, e3, r_diag = (complex(a[j]) for a in (eps1, eps2, eps3, r_diags))
-    lam = lambda_n(spec.singulars ** 2, zc, y)
-    base = _identity_base(zc, y, side)
-    resid = _identity_residual(base, r_diag, (e1, e2, e3), lam, y, CORRECTION_SIGNS)
-    return CorrectionReport(j=j, row_kind=side, eps1=e1, eps2=e2, eps3=e3,
-                            r_diag=r_diag, identity_residual=resid)
+    return abs(r_diag - S * (1.0 + sa * eff * r_diag + sc * y * lam * r_diag))
 
 
 def _t_n(eps1: np.ndarray, eps2: np.ndarray, eps3: np.ndarray,
@@ -177,15 +139,19 @@ def _t_n(eps1: np.ndarray, eps2: np.ndarray, eps3: np.ndarray,
 
 @dataclass(frozen=True)
 class AuditResult:
-    """Per-row identity audit plus the summed self-consistent equation.
+    """Row-side identity audit plus the summed self-consistent equation.
 
-    Sequence protocol yields the per-j CorrectionReports.  Both sign variants
-    of the summed equation are recorded: ``residual_exact`` is
+    The arrays hold one entry per row index j.  Both sign variants of the
+    summed equation are recorded: ``residual_exact`` is
     |s_n - S (1 - T_n + y Lambda s_n)| (the variant that balances) and
     ``residual_flipped`` is |s_n - S (1 + T_n - y Lambda s_n)|.
     """
 
-    reports: tuple[CorrectionReport, ...]
+    eps1: np.ndarray
+    eps2: np.ndarray
+    eps3: np.ndarray
+    r_diag: np.ndarray
+    residuals: np.ndarray
     convention: tuple[float, float, float]
     t_n: complex
     residual_exact: float
@@ -193,42 +159,29 @@ class AuditResult:
 
     @property
     def max_residual(self) -> float:
-        return max(r.identity_residual for r in self.reports)
-
-    def __iter__(self) -> Iterator[CorrectionReport]:
-        return iter(self.reports)
-
-    def __len__(self) -> int:
-        return len(self.reports)
-
-    def __getitem__(self, i):
-        return self.reports[i]
+        return float(self.residuals.max())
 
 
-def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex", y: float,
-                           p: float | None = None, tol: float = 1e-8) -> AuditResult:
-    """Audit the exact diagonal identity for every row index.
+def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex",
+                           tol: float = 1e-8) -> AuditResult:
+    """Audit the exact diagonal identity for every row index, at y = n/m.
 
     Every candidate sign convention is evaluated; the one reaching machine
     precision must match the frozen CORRECTION_SIGNS, otherwise an
     IdentityFailureError flags an upstream bug.
     """
     zc = _as_complex(z)
+    y = x.n / x.m
     _check_y(y)
-    if p is None:
-        p = float(x.mask.mean())
-        if p <= 0.0:
-            p = 1.0   # X = 0 null case: centering term is -p * R, any p > 0 is consistent
     spec = singular_values(x)
     s2 = spec.singulars ** 2
     s_n = stieltjes_esd(s2, zc)
     S = stieltjes_mp(zc, y)
     lam = lambda_n(s2, zc, y)
-    base = _identity_base(zc, y, ROW)
 
-    eps1, eps2, eps3, r_diag = _correction_arrays(x, spec, zc, p, ROW)
+    eps1, eps2, eps3, r_diag = correction_terms(x, spec, zc)
     eps = (eps1, eps2, eps3)
-    worst = {signs: float(np.max(_identity_residual(base, r_diag, eps, lam, y, signs)))
+    worst = {signs: float(np.max(_identity_residual(S, r_diag, eps, lam, y, signs)))
              for signs in _CONVENTION_MENU}
     winner = min(worst, key=lambda k: worst[k])
     if worst[winner] > tol:
@@ -237,24 +190,13 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex", y: flo
             f"under {winner}"
         )
 
-    residuals = _identity_residual(base, r_diag, eps, lam, y, winner)
-    reports = tuple(
-        CorrectionReport(j=j, row_kind=ROW, eps1=complex(eps1[j]), eps2=complex(eps2[j]),
-                         eps3=complex(eps3[j]), r_diag=complex(r_diag[j]),
-                         identity_residual=float(residuals[j]))
-        for j in range(x.n)
-    )
     t_n = _t_n(eps1, eps2, eps3, r_diag)
-    residual_exact = abs(s_n - S * (1.0 - t_n + y * lam * s_n))
-    residual_flipped = abs(s_n - S * (1.0 + t_n - y * lam * s_n))
-    return AuditResult(reports=reports, convention=winner, t_n=t_n,
-                       residual_exact=residual_exact, residual_flipped=residual_flipped)
-
-
-def error_term_tn(x: SampledMatrix, z: "ComplexPoint | complex", p: float) -> complex:
-    """T_n = (1/n) sum_j eps_j R_jj under the frozen sign convention."""
-    return _t_n(*_correction_arrays(x, singular_values(x), _as_complex(z), p, ROW))
-
+    return AuditResult(
+        eps1=eps1, eps2=eps2, eps3=eps3, r_diag=r_diag,
+        residuals=_identity_residual(S, r_diag, eps, lam, y, winner),
+        convention=winner, t_n=t_n,
+        residual_exact=abs(s_n - S * (1.0 - t_n + y * lam * s_n)),
+        residual_flipped=abs(s_n - S * (1.0 + t_n - y * lam * s_n)))
 
 @dataclass(frozen=True)
 class MultiscaleLadder:
@@ -496,8 +438,7 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
             return None
         if q == 0:
             return 1.0
-        spec = singular_values(x)
-        return abs(_t_n(*_correction_arrays(x, spec, zc, params.p, ROW))) ** q
+        return abs(_t_n(*correction_terms(x, singular_values(x), zc))) ** q
 
     values = [val for val in map_replications(one, replications, workers) if val is not None]
     if not values:

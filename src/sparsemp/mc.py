@@ -1,4 +1,4 @@
-"""Shared Monte Carlo plumbing: estimates, jackknife, replication pools.
+"""Shared Monte Carlo plumbing: estimates and replication pools.
 
 Replications are always mapped by index so reductions are order-independent:
 results are identical for any worker count, which is what the determinism
@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -54,17 +54,6 @@ def map_replications(fn: Callable[[int], T], count: int, workers: int | None = N
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=nw) as pool:
         return list(pool.map(fn, range(count)))
-
-
-def jackknife_stderr(values: Sequence[float]) -> float:
-    """Leave-one-out jackknife standard error of the sample mean."""
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    if n < 2:
-        return float("nan")
-    total = v.sum()
-    loo = (total - v) / (n - 1)
-    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
 
 
 def binomial_estimate(successes: int, trials: int) -> MCEstimate:

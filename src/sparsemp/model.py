@@ -6,7 +6,8 @@ The observation matrix is
 
 where the X_jk are i.i.d. mean-zero unit-variance draws from a chosen entry
 distribution and the xi_jk are independent Bernoulli(p) presence indicators.
-Raw draws and the mask are kept alongside the scaled matrix.  The
+Raw draws and the mask are kept alongside the scaled matrix for the tests and
+the benchmark; no library computation reads them.  The
 thresholded-configuration analysis needs only the untruncated magnitudes at
 the present entries; ``present_magnitudes`` reads them from the same streams
 without drawing the whole sample.

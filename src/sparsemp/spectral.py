@@ -153,11 +153,6 @@ def resolvent_minor(x: SampledMatrix, z: "ComplexPoint | complex",
     return ResolventEval(z=zc, entries=entries, labels=labels)
 
 
-def max_entry(r: ResolventEval) -> float:
-    """max_{j,k} |R_jk| by a full scan."""
-    return float(np.abs(r.entries).max())
-
-
 def _active_rows(factor: np.ndarray, active: np.ndarray) -> np.ndarray:
     """The active rows of a factor, without a copy when all are active."""
     return factor if active.all() else factor[active]

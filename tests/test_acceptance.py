@@ -124,7 +124,7 @@ def test_criterion_04_self_consistency_audit():
                              delta=1.0, seed=int(rng.integers(10**9)))
         x = sm.sample_matrix(params, 0)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 1.5))
-        audit = sm.self_consistency_audit(x, z, params.y, p=params.p, tol=1e-8)
+        audit = sm.self_consistency_audit(x, z, tol=1e-8)
         worst = max(worst, audit.max_residual)
         conventions.add(audit.convention)
     ok = worst < 1e-8 and conventions == {PINNED_CONVENTION}
