@@ -342,3 +342,20 @@ def test_tn_degenerate_conditioning():
     z = ComplexPoint(0.9, 0.5)
     with pytest.raises(sm.DegenerateConditioningError):
         sm.tn_moment_study(params, z, q=0, replications=1000, gamma=0.0)
+
+
+def test_error_term_tn_matches_audit():
+    # T_n = (1/n) sum_j eps_j R_jj, summed by hand from the dense oracle
+    # at the model p, against the audit that reads only x.scaled
+    params = gaussian_params(8, 16, 0.7, seed=37)
+    x = sm.sample_matrix(params, 0)
+    z = complex(0.8, 0.6)
+    audit = sm.self_consistency_audit(x, z)
+    _, sb, _ = CORRECTION_SIGNS
+    want = 0.0
+    for j in range(x.n):
+        e1, e2, e3, r_diag = oracle_corrections(x, z, params.p, j, "row")
+        want += (e1 + sb * (e2 + e3)) * r_diag
+    assert audit.t_n == pytest.approx(want / x.n, abs=1e-12)
+    assert audit.residual_exact < 1e-12
+    assert audit.residual_flipped > 1e-6
