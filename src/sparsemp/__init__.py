@@ -17,14 +17,12 @@ from .locallaw import (AuditResult, CORRECTION_SIGNS, LocalLawReport,
                        lambda_n, locallaw_scan, multiscale_ladder,
                        self_consistency_audit, tn_moment_study)
 from .mc import MCEstimate
-from .model import (EntryDistribution, ModelParams, SampledMatrix, check_c0,
-                    moment_4_delta, sample_matrix)
+from .model import EntryDistribution, ModelParams, SampledMatrix, sample_matrix
 from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
                     d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
                     mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
-from .spectral import (ResolventEval, SpectrumResult, resolvent,
-                       resolvent_from_spectrum, resolvent_max_abs,
-                       resolvent_minor, singular_values, stieltjes_esd)
+from .spectral import (SpectrumResult, resolvent, resolvent_from_spectrum,
+                       resolvent_max_abs, singular_values, stieltjes_esd)
 
 __version__ = "0.1.0"
 
@@ -35,16 +33,16 @@ __all__ = [
     "DivergentMomentError", "DomainSpec", "EntryDistribution",
     "ExactEnumerationError", "IdentityFailureError", "LocalLawReport",
     "MCEstimate", "ModelParams", "MultiscaleLadder",
-    "NumericalError", "ParameterError", "ResolventEval",
+    "NumericalError", "ParameterError",
     "SampledMatrix", "SpectrumResult", "TnMomentResult", "b_function",
-    "bilinear_moment_exact", "bilinear_moment_mc", "check_c0",
+    "bilinear_moment_exact", "bilinear_moment_mc",
     "classify", "concentration_evaluate", "correction_terms", "d_function",
     "d_n_function",
     "domain_grid", "gamma_n", "gamma_n_theorem1",
     "inadmissibility_probability", "lambda_n", "lemma_rhs", "locallaw_scan",
-    "moment_4_delta", "mp_cdf", "mp_density", "mp_edges",
+    "mp_cdf", "mp_density", "mp_edges",
     "multiscale_ladder", "prior_bound_tn", "resolvent",
-    "resolvent_from_spectrum", "resolvent_max_abs", "resolvent_minor",
+    "resolvent_from_spectrum", "resolvent_max_abs",
     "sample_configuration", "sample_matrix", "self_consistency_audit",
     "singular_values",
     "stieltjes_esd", "stieltjes_mp", "tn_moment_study",

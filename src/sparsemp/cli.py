@@ -31,7 +31,7 @@ from .errors import (DegenerateConditioningError, IdentityFailureError,
 from .locallaw import locallaw_scan, self_consistency_audit, tn_moment_study
 from .model import EntryDistribution, ModelParams, sample_matrix
 from .mplaw import ComplexPoint, DomainSpec, mp_cdf, mp_density, mp_edges
-from .spectral import esd_histogram, squared_singular_values, write_spectrum_csv
+from .spectral import esd_histogram, squared_singular_values
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -53,11 +53,10 @@ def _load_schema(name: str) -> dict:
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-def _write_json(path: Path, payload: dict, schema: str | None = None) -> None:
-    if schema is not None:
-        jsonschema.validate(payload, _load_schema(schema))
+def _write_json(path: Path, payload: dict, schema: str) -> None:
+    jsonschema.validate(payload, _load_schema(schema))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -292,7 +291,8 @@ def cmd_spectrum(cfg: SpectrumConfig, out_dir: Path, workers: int | None) -> int
     x = sample_matrix(params, cfg.replication)
     # values only, descending; rounding can leave a zero square slightly negative
     s = np.sqrt(np.maximum(squared_singular_values(x), 0.0))[::-1]
-    write_spectrum_csv(out_dir / "singular_values.csv", s)
+    _write_csv(out_dir / "singular_values.csv", "index,singular_value",
+               [f"{i},{_fmt(v)}" for i, v in enumerate(s)])
 
     top = float(s[0]) if s.size else 0.0
     hi = max(b_edge, top) * 1.02
@@ -345,7 +345,11 @@ def cmd_locallaw(cfg: LocalLawConfig, out_dir: Path, workers: int | None) -> int
                                max_entry_stride=cfg.max_entry_stride, workers=workers)
         _write_json(out_dir / f"locallaw_n{n}.json", report.to_dict(),
                     schema="locallaw_report.schema.json")
-        report.write_points_csv(out_dir / f"locallaw_points_n{n}.csv")
+        points = [",".join([_fmt(pt.u), _fmt(pt.v), _fmt(ps.lambda_abs), _fmt(ps.gamma),
+                            _fmt(ps.ratio), "" if ps.max_entry is None else _fmt(ps.max_entry)])
+                  for pt, ps in zip(report.grid, report.per_point)]
+        _write_csv(out_dir / f"locallaw_points_n{n}.csv",
+                   "u,v,lambda_abs,gamma,ratio,max_entry", points)
         summary_rows.append(f"{n},{_fmt(report.sup_ratio)},{_fmt(report.fitted_k)}")
     _write_csv(out_dir / "locallaw_summary.csv", "n,sup_ratio,fitted_K", summary_rows)
     return EXIT_OK

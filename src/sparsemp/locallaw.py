@@ -45,9 +45,9 @@ COLUMN = "column"
 # the y*Lambda term) inside R = base * (1 + sA*(e1 + sB*(e2+e3))*R + sC*y*L*R)
 CORRECTION_SIGNS = (-1.0, -1.0, 1.0)
 
-# frozen convention first: degenerate inputs (X = 0 has eps_1 = 0) can tie two
-# conventions at machine precision, and ties must resolve to the constant
-_CONVENTION_MENU = (CORRECTION_SIGNS,) + tuple(
+# the other conventions, tried only to name the one that balances when the
+# frozen one does not
+_OTHER_CONVENTIONS = tuple(
     (sa, sb, sc)
     for sa in (1.0, -1.0) for sb in (1.0, -1.0) for sc in (1.0, -1.0)
     if (sa, sb, sc) != CORRECTION_SIGNS
@@ -166,9 +166,9 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex",
                            tol: float = 1e-8) -> AuditResult:
     """Audit the exact diagonal identity for every row index, at y = n/m.
 
-    Every candidate sign convention is evaluated; the one reaching machine
-    precision must match the frozen CORRECTION_SIGNS, otherwise an
-    IdentityFailureError flags an upstream bug.
+    The identity must balance to ``tol`` under the frozen CORRECTION_SIGNS;
+    otherwise an IdentityFailureError flags an upstream bug and names the
+    convention that balances instead, if one does.
     """
     zc = _as_complex(z)
     y = x.n / x.m
@@ -177,26 +177,30 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex",
     s2 = spec.singulars ** 2
     s_n = stieltjes_esd(s2, zc)
     S = stieltjes_mp(zc, y)
-    lam = lambda_n(s2, zc, y)
+    lam = s_n - S
 
     eps1, eps2, eps3, r_diag = correction_terms(x, spec, zc)
     eps = (eps1, eps2, eps3)
-    worst = {signs: float(np.max(_identity_residual(S, r_diag, eps, lam, y, signs)))
-             for signs in _CONVENTION_MENU}
-    winner = min(worst, key=lambda k: worst[k])
-    if worst[winner] > tol:
+    residuals = _identity_residual(S, r_diag, eps, lam, y, CORRECTION_SIGNS)
+    frozen = float(residuals.max())
+    if not frozen <= tol:   # NaN fails too
+        worst = {signs: float(np.max(_identity_residual(S, r_diag, eps, lam, y, signs)))
+                 for signs in _OTHER_CONVENTIONS}
+        best = min(worst, key=lambda k: worst[k])
+        found = (f"{best} balances instead ({worst[best]:.3e})" if worst[best] <= tol
+                 else f"no other convention balances (best {best}, {worst[best]:.3e})")
         raise IdentityFailureError(
-            f"no sign convention reaches residual {tol}: best {worst[winner]:.3e} "
-            f"under {winner}"
+            f"frozen convention {CORRECTION_SIGNS} misses residual {tol} "
+            f"({frozen:.3e}); {found}"
         )
 
     t_n = _t_n(eps1, eps2, eps3, r_diag)
     return AuditResult(
-        eps1=eps1, eps2=eps2, eps3=eps3, r_diag=r_diag,
-        residuals=_identity_residual(S, r_diag, eps, lam, y, winner),
-        convention=winner, t_n=t_n,
+        eps1=eps1, eps2=eps2, eps3=eps3, r_diag=r_diag, residuals=residuals,
+        convention=CORRECTION_SIGNS, t_n=t_n,
         residual_exact=abs(s_n - S * (1.0 - t_n + y * lam * s_n)),
         residual_flipped=abs(s_n - S * (1.0 + t_n - y * lam * s_n)))
+
 
 @dataclass(frozen=True)
 class MultiscaleLadder:
@@ -214,9 +218,6 @@ class MultiscaleLadder:
     def all_pass(self) -> bool:
         """The empirical conjunction event Q."""
         return all(self.gamma_flags)
-
-    def flags_by_level(self) -> dict[float, bool]:
-        return dict(zip(self.levels, self.gamma_flags))
 
 
 def ladder_levels(v: float, V: float, s0: float) -> tuple[int, tuple[float, ...]]:
@@ -278,11 +279,12 @@ class LocalLawReport:
         return float(np.median(self.sup_lambda_per_replication))
 
     @property
-    def median_sup_lambda_stderr(self) -> float:
-        # normal-approximation standard error of the sample median
+    def median_sup_lambda_stderr(self) -> float | None:
+        # normal-approximation standard error of the sample median; undefined
+        # (None) at one replication
         v = np.asarray(self.sup_lambda_per_replication)
         if v.size < 2:
-            return float("nan")
+            return None
         return float(1.2533 * v.std(ddof=1) / math.sqrt(v.size))
 
     def to_dict(self) -> dict[str, Any]:
@@ -310,15 +312,6 @@ class LocalLawReport:
                 "median_sup_lambda_stderr": self.median_sup_lambda_stderr,
             },
         }
-
-    def write_points_csv(self, path) -> None:
-        lines = ["u,v,lambda_abs,gamma,ratio,max_entry"]
-        for pt, ps in zip(self.grid, self.per_point):
-            me = "" if ps.max_entry is None else repr(float(ps.max_entry))
-            lines.append(f"{pt.u!r},{pt.v!r},{ps.lambda_abs!r},{ps.gamma!r},"
-                         f"{ps.ratio!r},{me}")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
@@ -388,7 +381,7 @@ class TnMomentResult:
 
     q: int
     estimate: float
-    stderr: float
+    stderr: float | None   # None when a single replication survives
     survivors: int
     replications: int
     envelope_c1: float
@@ -447,7 +440,7 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
         )
     arr = np.asarray(values)
     estimate = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else float("nan")
+    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else None
     scale = (1.0 / (params.n * v) + 1.0 / (params.n * params.p)) * math.log(params.n)
     envelope = scale ** q
     fitted_c = estimate ** (1.0 / q) / scale if q > 0 else 0.0

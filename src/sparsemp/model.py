@@ -202,19 +202,6 @@ class SampledMatrix:
     def m(self) -> int:
         return self.scaled.shape[1]
 
-    @classmethod
-    def from_dense(cls, scaled: np.ndarray) -> "SampledMatrix":
-        """Wrap an explicit matrix as a dense (p = 1) sample for injection tests."""
-        scaled = np.asarray(scaled, dtype=np.float64)
-        if scaled.ndim != 2:
-            raise ParameterError("from_dense expects a 2-D matrix")
-        m = scaled.shape[1]
-        return cls(
-            raw=scaled * math.sqrt(m),
-            mask=np.ones_like(scaled, dtype=np.uint8),
-            scaled=scaled,
-        )
-
 
 def _signs(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, size=shape).astype(np.float64) - 1.0
@@ -259,21 +246,3 @@ def present_magnitudes(params: ModelParams,
     raw_rng, mask_rng = _streams(params, replication)
     flat = np.flatnonzero(_present(mask_rng, params))
     return flat, params.dist.magnitudes_at(raw_rng, (params.n, params.m), flat)
-
-
-
-def moment_4_delta(dist: EntryDistribution, delta: float) -> float:
-    """mu_{4+delta} = E|X_11|^{4+delta}, in closed form per variant."""
-    if delta < 0:
-        raise ParameterError(f"delta must be nonnegative, got {delta}")
-    return dist.abs_moment(4.0 + delta)
-
-
-def check_c0(params: ModelParams, c0: float) -> bool:
-    """Whether n*p >= c0 * (log n)^(2/kappa).
-
-    Desk-scale runs almost always fail this for realistic c0; the result is
-    reported, not enforced.
-    """
-    kappa = params.kappa()
-    return params.n * params.p >= c0 * math.log(params.n) ** (2.0 / kappa)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError
 from .model import SampledMatrix
 from .mplaw import ComplexPoint, _as_complex, _like
 
@@ -32,27 +31,6 @@ class SpectrumResult:
     singulars: np.ndarray
     left_vectors: np.ndarray   # n x r, orthonormal columns (r = min(n, m))
     right_vectors: np.ndarray  # m x r, orthonormal columns
-
-    @property
-    def n(self) -> int:
-        return self.left_vectors.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.right_vectors.shape[0]
-
-
-@dataclass(frozen=True)
-class ResolventEval:
-    """Dense resolvent of the block matrix at one z.
-
-    ``labels`` maps each row/column of ``entries`` back to its index in the
-    undeleted block matrix, so minors keep their original bookkeeping.
-    """
-
-    z: complex
-    entries: np.ndarray
-    labels: np.ndarray
 
 
 def singular_values(x: SampledMatrix) -> SpectrumResult:
@@ -98,59 +76,26 @@ def _diag_factors(s: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     return d_proj, d_mid
 
 
-def _assemble_resolvent(u: np.ndarray, s: np.ndarray, w: np.ndarray,
-                        z: complex) -> np.ndarray:
+def resolvent_from_spectrum(spec: SpectrumResult,
+                            z: "ComplexPoint | complex") -> np.ndarray:
+    """The (n + m) x (n + m) resolvent of the block matrix, reusing an existing SVD."""
+    zc = _as_complex(z)
+    u, w = spec.left_vectors, spec.right_vectors
     n, m = u.shape[0], w.shape[0]
-    d_proj, d_mid = _diag_factors(s, z)
+    d_proj, d_mid = _diag_factors(spec.singulars, zc)
     out = np.empty((n + m, n + m), dtype=np.complex128)
     out[:n, :n] = (u * d_proj) @ u.T
-    out[:n, :n].flat[:: n + 1] -= 1.0 / z
+    out[:n, :n].flat[:: n + 1] -= 1.0 / zc
     out[:n, n:] = (u * d_mid) @ w.T
     out[n:, :n] = out[:n, n:].T
     out[n:, n:] = (w * d_proj) @ w.T
-    out[n:, n:].flat[:: m + 1] -= 1.0 / z
+    out[n:, n:].flat[:: m + 1] -= 1.0 / zc
     return out
 
 
-def resolvent_from_spectrum(spec: SpectrumResult, z: "ComplexPoint | complex") -> ResolventEval:
-    """Resolvent of the block matrix, reusing an existing SVD."""
-    zc = _as_complex(z)
-    entries = _assemble_resolvent(spec.left_vectors, spec.singulars,
-                                  spec.right_vectors, zc)
-    return ResolventEval(z=zc, entries=entries,
-                         labels=np.arange(spec.n + spec.m))
-
-
-def resolvent(x: SampledMatrix, z: "ComplexPoint | complex") -> ResolventEval:
+def resolvent(x: SampledMatrix, z: "ComplexPoint | complex") -> np.ndarray:
     """R(z) = (V - zI)^{-1} assembled from a fresh SVD of the sample."""
     return resolvent_from_spectrum(singular_values(x), z)
-
-
-def resolvent_minor(x: SampledMatrix, z: "ComplexPoint | complex",
-                    rows_j: Iterable[int] = (), cols_k: Iterable[int] = ()) -> ResolventEval:
-    """Resolvent of the block matrix built from X with rows/columns deleted.
-
-    ``labels`` carries the original block-matrix indices of the survivors
-    (rows keep their index, surviving column l becomes n + l).
-    """
-    zc = _as_complex(z)
-    n, m = x.n, x.m
-    rows = sorted(set(int(j) for j in rows_j))
-    cols = sorted(set(int(k) for k in cols_k))
-    if rows and (rows[0] < 0 or rows[-1] >= n):
-        raise IndexError(f"row index out of range [0, {n}): {rows}")
-    if cols and (cols[0] < 0 or cols[-1] >= m):
-        raise IndexError(f"column index out of range [0, {m}): {cols}")
-    keep_r = np.setdiff1d(np.arange(n), rows)
-    keep_c = np.setdiff1d(np.arange(m), cols)
-    sub = x.scaled[np.ix_(keep_r, keep_c)]
-    try:
-        u, s, vt = np.linalg.svd(sub, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"minor SVD failed for shape {sub.shape}: {exc}") from exc
-    entries = _assemble_resolvent(u, s, vt.T, zc)
-    labels = np.concatenate([keep_r, n + keep_c])
-    return ResolventEval(z=zc, entries=entries, labels=labels)
 
 
 def _active_rows(factor: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -250,14 +195,6 @@ def resolvent_max_abs(spec: SpectrumResult, z: "ComplexPoint | complex",
         for lo in range(0, u.shape[0], chunk):
             best = max(best, block_max(u[lo:lo + chunk], d_mid, w, diag=False))
     return math.sqrt(best)
-
-
-def write_spectrum_csv(path, singulars: np.ndarray) -> None:
-    lines = ["index,singular_value"]
-    for i, s in enumerate(singulars):
-        lines.append(f"{i},{float(s)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def esd_histogram(singulars: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared helpers: independent brute-force oracles used across test modules."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -45,9 +46,11 @@ def gaussian_params(n: int, m: int, p: float, seed: int, delta: float = 2.0) -> 
                           delta=delta, seed=seed)
 
 
-def zero_sample(n: int, m: int) -> sm.SampledMatrix:
-    return sm.SampledMatrix(raw=np.zeros((n, m)), mask=np.ones((n, m), dtype=np.uint8),
-                            scaled=np.zeros((n, m)))
+def dense_sample(scaled) -> sm.SampledMatrix:
+    """Wrap an explicit matrix as a dense (p = 1) sample: raw = scaled sqrt(m), mask = 1."""
+    scaled = np.asarray(scaled, dtype=np.float64)
+    return sm.SampledMatrix(raw=scaled * math.sqrt(scaled.shape[1]),
+                            mask=np.ones(scaled.shape, dtype=np.uint8), scaled=scaled)
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,9 @@ from sparsemp import cli
 from sparsemp.cli import (AuditConfig, ConcentrationConfig, ConfigAnalyzeConfig,
                           DomainTemplate, LocalLawConfig, SpectrumConfig,
                           SweepConfig, TnMomentsConfig, _load, main)
+from sparsemp.locallaw import TnMomentResult
 from sparsemp.model import EntryDistribution, ModelParams
+from sparsemp.spectral import squared_singular_values
 
 
 def write_cfg(tmp_path, name, payload):
@@ -54,6 +56,12 @@ def test_spectrum_runs_and_is_deterministic(tmp_path):
     assert summary["sup_gap_interior"] < 0.5
     header = files["esd_histogram.csv"].decode().splitlines()[0]
     assert header == "bin_left,bin_right,count,density_emp,density_mp_binavg,density_mp_mid"
+    lines = files["singular_values.csv"].decode().splitlines()
+    assert lines[0] == "index,singular_value"
+    assert len(lines) == 1 + MODEL["n"]
+    x = sm.sample_matrix(_load(ModelParams, MODEL), 0)
+    top = math.sqrt(squared_singular_values(x)[-1])
+    assert float(lines[1].split(",")[1]) == pytest.approx(top, rel=1e-15)
 
 
 def test_spectrum_dense_calibration_gap(tmp_path):
@@ -125,12 +133,50 @@ def test_locallaw_sweep_outputs(tmp_path):
     assert len(summary) == 3
     for n in (40, 60):
         assert (out / f"locallaw_n{n}.json").exists()
-        assert (out / f"locallaw_points_n{n}.csv").exists()
+        points = (out / f"locallaw_points_n{n}.csv").read_text().splitlines()
+        assert points[0] == "u,v,lambda_abs,gamma,ratio,max_entry"
+        assert len(points) == 1 + 8   # 2 x 2 grid over both sign bands of u
+        assert points[1].endswith(",")   # max_entry empty when stride disabled
     # worker count must not change bytes
     out2 = tmp_path / "out2"
     assert main(["locallaw", "--config", cfg, "--out-dir", str(out2),
                  "--workers", "2"]) == 0
     assert read_all(out) == read_all(out2)
+
+
+def _strict_json(text: str):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_locallaw_one_replication_report_is_strict_json(tmp_path):
+    payload = _locallaw_payload()
+    payload["replications"] = 1
+    cfg = write_cfg(tmp_path, "ll1.json", payload)
+    out = tmp_path / "out"
+    assert main(["locallaw", "--config", cfg, "--out-dir", str(out)]) == 0
+    for n in (40, 60):
+        report = _strict_json((out / f"locallaw_n{n}.json").read_text())
+        assert report["aggregates"]["median_sup_lambda_stderr"] is None
+
+
+def test_tn_report_with_one_survivor_round_trips(tmp_path):
+    result = TnMomentResult(q=2, estimate=0.5, stderr=None, survivors=1,
+                            replications=1000, envelope_c1=0.25, fitted_c=1.5)
+    path = tmp_path / "tn_moments.json"
+    cli._write_json(path, result.to_dict(), schema="tn_report.schema.json")
+    assert _strict_json(path.read_text()) == result.to_dict()
+
+
+def test_write_json_refuses_nan(tmp_path):
+    # a NaN that reaches the writer is an error, never the non-JSON token NaN
+    result = TnMomentResult(q=2, estimate=0.5, stderr=math.nan, survivors=2,
+                            replications=1000, envelope_c1=0.25, fitted_c=1.5)
+    path = tmp_path / "tn_moments.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli._write_json(path, result.to_dict(), schema="tn_report.schema.json")
+    assert "NaN" not in path.read_text()
 
 
 def test_locallaw_stride_defaults_to_library():

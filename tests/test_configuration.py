@@ -198,7 +198,7 @@ def test_small_n_connectivity_floor():
 def test_markov_bound_gaussian():
     params = sm.ModelParams(n=500, m=1000, p=0.1, dist=EntryDistribution.gaussian(),
                             delta=4.0, seed=19)
-    bound = sm.moment_4_delta(params.dist, 4.0) / (500 ** 2 * 0.1)
+    bound = params.dist.abs_moment(4 + 4.0) / (500 ** 2 * 0.1)
     means = []
     for rep in range(4):
         cfg = sm.sample_configuration(params, rep, threshold_c=1.0)

@@ -85,8 +85,8 @@ def test_unit_variance_within_four_se(dist):
 
 
 def test_moment_rademacher_and_gaussian():
-    assert sm.moment_4_delta(EntryDistribution.rademacher(), 4.0) == 1.0
-    assert sm.moment_4_delta(EntryDistribution.gaussian(), 0.0) == pytest.approx(3.0, abs=1e-12)
+    assert EntryDistribution.rademacher().abs_moment(4 + 4.0) == 1.0
+    assert EntryDistribution.gaussian().abs_moment(4 + 0.0) == pytest.approx(3.0, abs=1e-12)
     # double-factorial path: E N^8 = 105
     assert EntryDistribution.gaussian().abs_moment(8) == pytest.approx(105.0, abs=1e-9)
 
@@ -98,13 +98,13 @@ def test_moment_pareto_against_quadrature_oracle():
     # E |T/sd|^5 over the density (alpha/2)|t|^(-alpha-1), |t| >= 1, symmetrized
     oracle, err = quad(lambda t: (t / sd) ** 5 * alpha * t ** (-alpha - 1.0), 1.0, np.inf)
     assert err < 1e-10
-    assert sm.moment_4_delta(dist, delta) == pytest.approx(oracle, rel=1e-10)
+    assert dist.abs_moment(4 + delta) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_divergent_pareto_moment_raises():
     dist = EntryDistribution.pareto(6.0)
     with pytest.raises(DivergentMomentError):
-        sm.moment_4_delta(dist, 2.0)   # 4 + 2 = alpha diverges
+        dist.abs_moment(4 + 2.0)   # 4 + 2 = alpha diverges
     with pytest.raises(DivergentMomentError):
         dist.abs_moment(6.5)
 
@@ -122,16 +122,6 @@ def test_kappa_value():
     params = ModelParams(n=10, m=20, p=1.0, dist=EntryDistribution.gaussian(),
                          delta=4.0, seed=0)
     assert params.kappa() == pytest.approx(0.25, abs=0)
-
-
-def test_check_c0_examples():
-    params = ModelParams(n=1000, m=2000, p=0.05, dist=EntryDistribution.gaussian(),
-                         delta=4.0, seed=0)
-    # np = 50 against (log 1000)^8 ~ 5.2e6
-    assert sm.check_c0(params, 1.0) is False
-    small = ModelParams(n=10, m=20, p=1.0, dist=EntryDistribution.gaussian(),
-                        delta=4.0, seed=0)
-    assert sm.check_c0(small, 0.0) is True
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -156,8 +146,3 @@ def test_params_json_roundtrip():
     for dist in (EntryDistribution.gaussian(), EntryDistribution.pareto(7.5)):
         params = ModelParams(n=12, m=24, p=0.25, dist=dist, delta=1.5, seed=99)
         assert _load(ModelParams, params.to_dict()) == params
-
-
-def test_from_dense_keeps_invariant():
-    x = sm.SampledMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    np.testing.assert_allclose(x.scaled, x.raw * x.mask / math.sqrt(2.0), atol=1e-15)

@@ -6,23 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsemp as sm
-from sparsemp import SampledMatrix
 from sparsemp.spectral import squared_singular_values
 
-from conftest import dense_resolvent, gaussian_params, zero_sample
+from conftest import dense_resolvent, dense_sample, gaussian_params
 
 
 def test_zero_matrix_spectrum_and_resolvent():
-    x = zero_sample(3, 5)
+    x = dense_sample(np.zeros((3, 5)))
     spec = sm.singular_values(x)
     assert np.all(spec.singulars == 0.0)
     z = complex(0.4, 0.7)
     r = sm.resolvent(x, z)
-    np.testing.assert_allclose(r.entries, -np.eye(8) / z, atol=1e-14)
+    np.testing.assert_allclose(r, -np.eye(8) / z, atol=1e-14)
 
 
 def test_diagonal_injection_singulars():
-    x = SampledMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 2.0]]))
+    x = dense_sample(np.array([[1.0, 0.0], [0.0, 2.0]]))
     spec = sm.singular_values(x)
     np.testing.assert_allclose(spec.singulars, [2.0, 1.0], atol=1e-14)
 
@@ -42,7 +41,7 @@ def test_svd_against_eigensolver_oracle():
 
 
 def test_squared_singular_values_against_svd():
-    assert np.all(squared_singular_values(zero_sample(2, 3)) == 0.0)
+    assert np.all(squared_singular_values(dense_sample(np.zeros((2, 3)))) == 0.0)
     for n, p in ((2, 1.0), (50, 0.6), (300, 0.1)):
         x = sm.sample_matrix(gaussian_params(n, 2 * n, p, seed=n), 0)
         oracle = np.linalg.svd(x.scaled, compute_uv=False)[::-1] ** 2
@@ -68,19 +67,19 @@ def test_stieltjes_esd_matches_resolvent_trace(medium_sample):
     spec = sm.singular_values(x)
     for z in (complex(0.5, 0.4), complex(-1.2, 0.15), complex(0.0, 2.0)):
         r = sm.resolvent_from_spectrum(spec, z)
-        trace = np.trace(r.entries[:x.n, :x.n]) / x.n
+        trace = np.trace(r[:x.n, :x.n]) / x.n
         assert abs(trace - sm.stieltjes_esd(spec.singulars ** 2, z)) < 1e-10
 
 
 def test_resolvent_one_by_one_hand_case():
     a = 0.8
-    x = SampledMatrix.from_dense(np.array([[a]]))
+    x = dense_sample(np.array([[a]]))
     z = complex(0.2, 0.5)
     r = sm.resolvent(x, z)
     denom = a * a - z * z
-    assert r.entries[0, 0] == pytest.approx(z / denom, abs=1e-14)
-    assert r.entries[0, 1] == pytest.approx(a / denom, abs=1e-14)
-    assert r.entries[1, 1] == pytest.approx(z / denom, abs=1e-14)
+    assert r[0, 0] == pytest.approx(z / denom, abs=1e-14)
+    assert r[0, 1] == pytest.approx(a / denom, abs=1e-14)
+    assert r[1, 1] == pytest.approx(z / denom, abs=1e-14)
 
 
 def test_resolvent_against_dense_inverse(medium_sample):
@@ -93,42 +92,10 @@ def test_resolvent_against_dense_inverse(medium_sample):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.0))
         r = sm.resolvent(x, z)
         dense = dense_resolvent(x.scaled, z)
-        assert np.abs(r.entries - dense).max() < 1e-9
-        ident = (v_mat - z * np.eye(90)) @ r.entries - np.eye(90)
+        assert np.abs(r - dense).max() < 1e-9
+        ident = (v_mat - z * np.eye(90)) @ r - np.eye(90)
         assert np.abs(ident).max() < 1e-9
-        assert np.abs(r.entries - r.entries.T).max() < 1e-10
-
-
-def test_resolvent_minor_empty_equals_full(medium_sample):
-    _, x = medium_sample
-    z = complex(0.7, 0.3)
-    full = sm.resolvent(x, z)
-    minor = sm.resolvent_minor(x, z)
-    np.testing.assert_allclose(minor.entries, full.entries, atol=1e-12)
-    np.testing.assert_array_equal(minor.labels, full.labels)
-
-
-def test_resolvent_minor_small_direct():
-    x = SampledMatrix.from_dense(np.array([[1.0, -0.5], [0.3, 2.0]]))
-    z = complex(0.4, 0.6)
-    minor = sm.resolvent_minor(x, z, rows_j=[0])
-    sub = SampledMatrix.from_dense(x.scaled[1:, :])
-    direct = dense_resolvent(sub.scaled, z)
-    np.testing.assert_allclose(minor.entries, direct, atol=1e-12)
-    np.testing.assert_array_equal(minor.labels, [1, 2, 3])
-    # column deletion can leave m' < n; the assembly must still be exact
-    minor_c = sm.resolvent_minor(x, z, cols_k=[1])
-    direct_c = dense_resolvent(x.scaled[:, :1], z)
-    np.testing.assert_allclose(minor_c.entries, direct_c, atol=1e-12)
-    np.testing.assert_array_equal(minor_c.labels, [0, 1, 2])
-
-
-def test_resolvent_minor_out_of_range(medium_sample):
-    _, x = medium_sample
-    with pytest.raises(IndexError):
-        sm.resolvent_minor(x, 1j, rows_j=[30])
-    with pytest.raises(IndexError):
-        sm.resolvent_minor(x, 1j, cols_k=[-1])
+        assert np.abs(r - r.T).max() < 1e-10
 
 
 def test_trace_interlacing_bound():
@@ -142,8 +109,8 @@ def test_trace_interlacing_bound():
         v = float(rng.uniform(0.05, 2.0))
         z = complex(rng.uniform(-2, 2), v)
         j = int(rng.integers(0, n))
-        full = np.trace(sm.resolvent(x, z).entries)
-        minor = np.trace(sm.resolvent_minor(x, z, rows_j=[j]).entries)
+        full = np.trace(sm.resolvent(x, z))
+        minor = np.trace(dense_resolvent(np.delete(x.scaled, j, 0), z))
         assert abs(full - minor) <= 2.0 / v
 
 
@@ -152,8 +119,8 @@ def test_ward_identity(medium_sample):
     v = 0.35
     z = complex(0.8, v)
     r = sm.resolvent(x, z)
-    row_norms = (np.abs(r.entries) ** 2).sum(axis=1)
-    np.testing.assert_allclose(row_norms, np.imag(np.diag(r.entries)) / v, atol=1e-8)
+    row_norms = (np.abs(r) ** 2).sum(axis=1)
+    np.testing.assert_allclose(row_norms, np.imag(np.diag(r)) / v, atol=1e-8)
 
 
 def test_multiplicative_inequality_diagonal(medium_sample):
@@ -168,25 +135,25 @@ def test_multiplicative_inequality_diagonal(medium_sample):
         s = float(rng.uniform(1.0, 10.0))
         r1 = sm.resolvent_from_spectrum(spec, complex(u, v))
         r2 = sm.resolvent_from_spectrum(spec, complex(u, s * v))
-        assert abs(r1.entries[j, j]) <= s * abs(r2.entries[j, j]) + 1e-12
+        assert abs(r1[j, j]) <= s * abs(r2[j, j]) + 1e-12
 
 
 def test_large_v_limit(medium_sample):
     _, x = medium_sample
     z = complex(0.5, 1000.0)
     r = sm.resolvent(x, z)
-    assert np.abs(np.diag(r.entries) + 1.0 / z).max() < 1e-4
+    assert np.abs(np.diag(r) + 1.0 / z).max() < 1e-4
 
 
 def test_max_entry_examples(medium_sample):
-    x0 = zero_sample(2, 3)
+    x0 = dense_sample(np.zeros((2, 3)))
     r0 = sm.resolvent(x0, 1j)
-    assert np.abs(r0.entries).max() == pytest.approx(1.0, abs=1e-15)
+    assert np.abs(r0).max() == pytest.approx(1.0, abs=1e-15)
     _, x = medium_sample
     z = complex(0.9, 0.25)
     r = sm.resolvent(x, z)
-    full_scan = np.abs(r.entries).max()
-    assert full_scan >= abs(r.entries[0, 0])
+    full_scan = np.abs(r).max()
+    assert full_scan >= abs(r[0, 0])
     # blockwise path equals the full scan
     spec = sm.singular_values(x)
     assert sm.resolvent_max_abs(spec, z) == pytest.approx(full_scan, abs=1e-12)
@@ -195,7 +162,7 @@ def test_max_entry_examples(medium_sample):
 
 def _rank_one(a, b):
     a, b = np.asarray(a, float), np.asarray(b, float)
-    return SampledMatrix.from_dense(np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b)))
+    return dense_sample(np.outer(a / np.linalg.norm(a), b / np.linalg.norm(b)))
 
 
 def test_resolvent_max_abs_against_dense_scan():
@@ -205,13 +172,13 @@ def test_resolvent_max_abs_against_dense_scan():
     diagonals, so that a skipped block or a wrong triangle cannot pass.
     """
     samples = {
-        "zero 2x3": zero_sample(2, 3),
+        "zero 2x3": dense_sample(np.zeros((2, 3))),
         "n=2": sm.sample_matrix(gaussian_params(2, 4, 1.0, seed=2), 0),
         "y near 1": sm.sample_matrix(gaussian_params(40, 41, 0.5, seed=40), 0),
         "10x300": sm.sample_matrix(gaussian_params(10, 300, 0.5, seed=10), 0),
         # crafted so that R_12, an off-diagonal of the U corner and one of
         # the W corner hold the argmax at z = 0.9 + 0.01i
-        "diagonal": SampledMatrix.from_dense(np.array([[1.0, 0, 0], [0, 0.5, 0]])),
+        "diagonal": dense_sample(np.array([[1.0, 0, 0], [0, 0.5, 0]])),
         "rank one, U spread": _rank_one([1, 1], [1, 1, 1]),
         "rank one, W spread": _rank_one([1, 1, 1], [1, 1, 0, 0]),
     }
@@ -223,8 +190,8 @@ def test_resolvent_max_abs_against_dense_scan():
             for im in (0.01, 0.25, 5.0):
                 z = complex(re, im)
                 r = sm.resolvent_from_spectrum(spec, z)
-                want = np.abs(r.entries).max()
-                dense = np.abs(r.entries)
+                want = np.abs(r).max()
+                dense = np.abs(r)
                 j, k = np.unravel_index(dense.argmax(), dense.shape)
                 block = "U" if j < n and k < n else "W" if j >= n and k >= n else "R12"
                 seen.add(block if block == "R12" else f"{block} {'diag' if j == k else 'off'}")
@@ -243,13 +210,13 @@ def _ward_active(entries: np.ndarray, z: complex) -> np.ndarray:
     return bound > (np.abs(diag) ** 2).max()
 
 
-def _random_sample(n: int, m: int, density: float, seed: int) -> SampledMatrix:
+def _random_sample(n: int, m: int, density: float, seed: int) -> sm.SampledMatrix:
     """A Gaussian sample with the given density; density 0 gives X = 0."""
     if density == 0.0:
-        return zero_sample(n, m)
+        return dense_sample(np.zeros((n, m)))
     rng = np.random.default_rng(seed)
     mask = rng.random((n, m)) < density
-    return SampledMatrix.from_dense(rng.standard_normal((n, m)) * mask / math.sqrt(m * density))
+    return dense_sample(rng.standard_normal((n, m)) * mask / math.sqrt(m * density))
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -270,7 +237,7 @@ def test_resolvent_max_abs_pruned_property(n, m, density, re, log_im, chunk, see
         r = f.shape[1]
         assert np.linalg.norm(f.T @ f - np.eye(r), 2) <= 4 * (r + 2) * np.finfo(float).eps
     z = complex(re, 10.0 ** log_im)
-    want = np.abs(sm.resolvent_from_spectrum(spec, z).entries).max()
+    want = np.abs(sm.resolvent_from_spectrum(spec, z)).max()
     got = (sm.resolvent_max_abs(spec, z) if chunk is None
            else sm.resolvent_max_abs(spec, z, chunk=chunk))
     assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -280,19 +247,19 @@ def test_resolvent_max_abs_partial_pruning():
     """Only the two indices of the top singular pair are active, and the max
     sits off the diagonal between them, 0.2% above the largest diagonal."""
     z = complex(0.9, 0.05)
-    x = SampledMatrix.from_dense(np.array([[0.0, 0.0, 1.002 * abs(z)],
+    x = dense_sample(np.array([[0.0, 0.0, 1.002 * abs(z)],
                                            [0.3, 0.0, 0.0]]))
     spec = sm.singular_values(x)
     r = sm.resolvent_from_spectrum(spec, z)
-    dense = np.abs(r.entries)
-    active = _ward_active(r.entries, z)
+    dense = np.abs(r)
+    active = _ward_active(r, z)
     assert 0 < active.sum() < active.size
     j, k = np.unravel_index(dense.argmax(), dense.shape)
     assert j != k and active[j] and active[k]
-    assert dense[j, k] > 1.001 * np.abs(np.diag(r.entries)).max()
+    assert dense[j, k] > 1.001 * np.abs(np.diag(r)).max()
     for chunk in (1, 3, 1024):
         assert sm.resolvent_max_abs(spec, z, chunk=chunk) == pytest.approx(
-            np.abs(r.entries).max(), rel=1e-12, abs=0)
+            np.abs(r).max(), rel=1e-12, abs=0)
 
 
 def test_ward_identity_against_dense_resolvent():
@@ -304,20 +271,14 @@ def test_ward_identity_against_dense_resolvent():
         spec = sm.singular_values(x)
         for z in (complex(0.9, 1e-3), complex(-0.4, 0.05), complex(1.3, 1.0), complex(0.2, 10.0)):
             for entries in (dense_resolvent(x.scaled, z),
-                            sm.resolvent_from_spectrum(spec, z).entries):
+                            sm.resolvent_from_spectrum(spec, z)):
                 rows = (np.abs(entries) ** 2).sum(axis=1)
                 np.testing.assert_allclose(rows, np.diag(entries).imag / z.imag,
                                            rtol=1e-12, atol=0)
 
 
-def test_csv_exports(tmp_path, medium_sample):
+def test_esd_histogram_counts(medium_sample):
     _, x = medium_sample
     spec = sm.singular_values(x)
-    p1 = tmp_path / "spectrum.csv"
-    sm.spectral.write_spectrum_csv(p1, spec.singulars)
-    lines = p1.read_text().strip().splitlines()
-    assert lines[0] == "index,singular_value"
-    assert len(lines) == 1 + 30
-    assert float(lines[1].split(",")[1]) == pytest.approx(spec.singulars[0], rel=1e-15)
     counts = sm.spectral.esd_histogram(spec.singulars, np.linspace(-2, 2, 9))
     assert counts.sum() == 60   # all +-s_j fall inside [-2, 2]
