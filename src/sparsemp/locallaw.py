@@ -82,11 +82,12 @@ def correction_terms(x: SampledMatrix, spec: SpectrumResult, z: "ComplexPoint | 
 
     Deleting row j of X deletes index j of the block matrix, so the minor
     resolvent follows from the full one by the Schur downdate
-    R^(j)_ab = R_ab - R_aj R_jb / R_jj; no minor is ever factorized.  For the
-    row side, with A = U diag(s / (s^2 - z^2)) the off-diagonal block is
-    B = A W^T, and the column corner of the minor has trace
-    tr R_22 - |A_j|^2 / R_jj and diagonal diag R_22 - B_j^2 / R_jj.  The
-    column side swaps U and W.
+    R^(j)_ab = R_ab - R_aj R_jb / R_jj; no minor is ever factorized, and the
+    full resolvent comes from ``spec``, the Gram-route SVD of
+    ``singular_values``.  For the row side, with A = U diag(s / (s^2 - z^2))
+    the off-diagonal block is B = A W^T, and the column corner of the minor
+    has trace tr R_22 - |A_j|^2 / R_jj and diagonal diag R_22 - B_j^2 / R_jj.
+    The column side swaps U and W.
     """
     if side == ROW:
         own, other = spec.left_vectors, spec.right_vectors
@@ -322,7 +323,7 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
     One spectrum per replication; |Lambda_n| and Gamma_n at every grid point;
     max resolvent entries on every ``max_entry_stride``-th point (0 disables
     the max-entry pass, which then needs no singular vectors and takes the
-    squared singular values from the eigenvalues of X X^T instead of an SVD).
+    squared singular values from the eigenvalues of X X^T alone).
     """
     if replications < 1:
         raise ParameterError(f"replications must be >= 1, got {replications}")
