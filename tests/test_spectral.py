@@ -43,12 +43,12 @@ def test_svd_against_eigensolver_oracle():
 def test_singular_values_against_lapack_svd():
     """The Gram route against LAPACK's SVD, on the shapes where it is weakest.
 
-    Values agree at the tolerance above down to the README's resolution
-    limit sqrt(n eps) s_max and lie below it where the SVD's do.  The
-    singular vector of each simple singular value above that limit agrees
-    up to sign, and so does its projector, to 4 r eps (1 + s_max^2 / gap),
-    gap being the distance of s_j^2 to the nearest other square.  Both factors rebuild X and are as orthonormal as the Ward-pruned
-    scan assumes.
+    Values agree to the eigensolver oracle's 1e-9 down to the README's
+    resolution limit sqrt(n eps) s_max and lie below it where the SVD's do.
+    The singular vector of each simple singular value above that limit
+    agrees up to sign, and so does its projector, to 4 r eps (1 + s_max^2 /
+    gap), gap being the distance of s_j^2 to the nearest other square.  Both
+    factors rebuild X and are as orthonormal as the Ward-pruned scan assumes.
     """
     eps = np.finfo(float).eps
     samples = {
