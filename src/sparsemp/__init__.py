@@ -21,8 +21,8 @@ from .model import EntryDistribution, ModelParams, SampledMatrix, sample_matrix
 from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
                     d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
                     mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
-from .spectral import (SpectrumResult, resolvent, resolvent_from_spectrum,
-                       resolvent_max_abs, singular_values, stieltjes_esd)
+from .spectral import (SpectrumResult, resolvent, resolvent_max_abs,
+                       singular_values, stieltjes_esd)
 
 __version__ = "0.1.0"
 
@@ -41,8 +41,7 @@ __all__ = [
     "domain_grid", "gamma_n", "gamma_n_theorem1",
     "inadmissibility_probability", "lambda_n", "lemma_rhs", "locallaw_scan",
     "mp_cdf", "mp_density", "mp_edges",
-    "multiscale_ladder", "prior_bound_tn", "resolvent",
-    "resolvent_from_spectrum", "resolvent_max_abs",
+    "multiscale_ladder", "prior_bound_tn", "resolvent", "resolvent_max_abs",
     "sample_configuration", "sample_matrix", "self_consistency_audit",
     "singular_values",
     "stieltjes_esd", "stieltjes_mp", "tn_moment_study",

@@ -31,7 +31,7 @@ from .errors import (DegenerateConditioningError, IdentityFailureError,
 from .locallaw import locallaw_scan, self_consistency_audit, tn_moment_study
 from .model import EntryDistribution, ModelParams, sample_matrix
 from .mplaw import ComplexPoint, DomainSpec, mp_cdf, mp_density, mp_edges
-from .spectral import esd_histogram, squared_singular_values
+from .spectral import esd_histogram, singular_values
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -288,9 +288,9 @@ def cmd_spectrum(cfg: SpectrumConfig, out_dir: Path, workers: int | None) -> int
     params = cfg.model
     y = params.y
     a_edge, b_edge = mp_edges(y)
-    x = sample_matrix(params, cfg.replication)
-    # values only, descending; rounding can leave a zero square slightly negative
-    s = np.sqrt(np.maximum(squared_singular_values(x), 0.0))[::-1]
+    # only the scaled matrix reaches the solver, so the sample's raw draws
+    # and mask are freed before the Gram matrix is solved
+    s = singular_values(sample_matrix(params, cfg.replication).scaled, vectors=False).singulars
     _write_csv(out_dir / "singular_values.csv", "index,singular_value",
                [f"{i},{_fmt(v)}" for i, v in enumerate(s)])
 
@@ -445,7 +445,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out-dir", default=".", help="output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default: SPARSEMP_WORKERS or 1)")
+                       help="worker threads (default: 1)")
     return parser
 
 

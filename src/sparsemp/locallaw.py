@@ -36,7 +36,7 @@ from .model import ModelParams, SampledMatrix, sample_matrix
 from .mplaw import (ComplexPoint, DomainSpec, _as_complex, _check_y, _u_band,
                     domain_grid, gamma_n, stieltjes_mp)
 from .spectral import (SpectrumResult, _diag_factors, resolvent_max_abs,
-                       singular_values, squared_singular_values, stieltjes_esd)
+                       singular_values, stieltjes_esd)
 
 ROW = "row"
 COLUMN = "column"
@@ -174,9 +174,8 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex",
     zc = _as_complex(z)
     y = x.n / x.m
     _check_y(y)
-    spec = singular_values(x)
-    s2 = spec.singulars ** 2
-    s_n = stieltjes_esd(s2, zc)
+    spec = singular_values(x.scaled, vectors=True)
+    s_n = stieltjes_esd(spec.singulars ** 2, zc)
     S = stieltjes_mp(zc, y)
     lam = s_n - S
 
@@ -322,8 +321,9 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
 
     One spectrum per replication; |Lambda_n| and Gamma_n at every grid point;
     max resolvent entries on every ``max_entry_stride``-th point (0 disables
-    the max-entry pass, which then needs no singular vectors and takes the
-    squared singular values from the eigenvalues of X X^T alone).
+    the max-entry pass, which then needs no singular vectors).  Only the
+    scaled matrix reaches the solver, so each sample's raw draws and mask are
+    freed before its Gram matrix is solved.
     """
     if replications < 1:
         raise ParameterError(f"replications must be >= 1, got {replications}")
@@ -337,16 +337,9 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
     me_idx = list(range(0, len(grid), max_entry_stride)) if max_entry_stride else []
 
     def one(rep: int) -> tuple[np.ndarray, dict[int, float]]:
-        x = sample_matrix(params, rep)
-        if me_idx:
-            spec = singular_values(x)
-            s2 = spec.singulars ** 2
-        else:
-            s2 = squared_singular_values(x)
-            spec = None
-        lam_abs = np.abs(lambda_n(s2, zs, y))
-        maxes = {i: resolvent_max_abs(spec, grid[i]) for i in me_idx} if me_idx else {}
-        return lam_abs, maxes
+        spec = singular_values(sample_matrix(params, rep).scaled, vectors=bool(me_idx))
+        lam_abs = np.abs(lambda_n(spec.singulars ** 2, zs, y))
+        return lam_abs, {i: resolvent_max_abs(spec, grid[i]) for i in me_idx}
 
     results = map_replications(one, replications, workers)
 
@@ -427,12 +420,13 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
 
     def one(rep: int) -> float | None:
         x = sample_matrix(params, rep)
-        ladder = multiscale_ladder(squared_singular_values(x), domain, gamma, s0, y)
+        spec = singular_values(x.scaled, vectors=q > 0)
+        ladder = multiscale_ladder(spec.singulars ** 2, domain, gamma, s0, y)
         if not ladder.all_pass:
             return None
         if q == 0:
             return 1.0
-        return abs(_t_n(*correction_terms(x, singular_values(x), zc))) ** q
+        return abs(_t_n(*correction_terms(x, spec, zc))) ** q
 
     values = [val for val in map_replications(one, replications, workers) if val is not None]
     if not values:

@@ -7,7 +7,6 @@ contract of the CLI relies on.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -15,8 +14,6 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import ParameterError
-
-WORKERS_ENV = "SPARSEMP_WORKERS"
 
 T = TypeVar("T")
 
@@ -31,20 +28,12 @@ class MCEstimate:
 
 
 def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
-        return workers
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            parsed = int(env)
-        except ValueError as exc:
-            raise ParameterError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        if parsed < 1:
-            raise ParameterError(f"{WORKERS_ENV} must be >= 1, got {parsed}")
-        return parsed
-    return 1
+    """The worker count to use: ``workers``, or 1 when it is None."""
+    if workers is None:
+        return 1
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def map_replications(fn: Callable[[int], T], count: int, workers: int | None = None) -> list[T]:

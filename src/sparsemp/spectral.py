@@ -18,24 +18,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .errors import NumericalError
-from .model import SampledMatrix
 from .mplaw import ComplexPoint, _as_complex, _like
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Thin SVD X = U diag(s) W^T of one sampled matrix, singular values descending.
+    """Singular values of one sample, descending, and its thin SVD X = U diag(s) W^T
+    when ``singular_values`` was asked for vectors (otherwise both factors are None).
 
     Both factors have orthonormal columns to ||F^T F - I||_2 <= 4 (r + 2) eps,
     the bound ``resolvent_max_abs`` assumes.
     """
 
     singulars: np.ndarray
-    left_vectors: np.ndarray   # U, n x r (r = min(n, m))
-    right_vectors: np.ndarray  # W, m x r
+    left_vectors: np.ndarray | None = None   # U, n x r (r = min(n, m))
+    right_vectors: np.ndarray | None = None  # W, m x r
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -43,21 +42,25 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a.T @ a if a.shape[0] > a.shape[1] else a @ a.T
 
 
-def singular_values(x: SampledMatrix) -> SpectrumResult:
-    """Thin SVD of the scaled matrix from the eigenpairs of its smaller Gram matrix.
+def singular_values(a: np.ndarray, vectors: bool) -> SpectrumResult:
+    """Singular values of the scaled matrix ``a`` from its smaller Gram matrix,
+    with the singular vectors too when ``vectors`` is true.
 
-    For a wide sample, ``np.linalg.eigh`` of X X^T gives U and s^2 = max(lambda,
-    0), and W = X^T U / s; a tall sample swaps the roles and starts from
-    X^T X.  At n = 1000, m = 2000 with one BLAS thread it took 0.31 s against
-    0.83 s for a full SVD, and unlike ``scipy.linalg`` the call releases the
-    GIL.
+    s = sqrt(max(lambda, 0)) in descending order, lambda the eigenvalues of
+    a a^T for a wide sample and of a^T a for a tall one.  Without vectors
+    ``np.linalg.eigvalsh`` gives them; with vectors ``np.linalg.eigh`` gives
+    U and s, and W = a^T U / s.  Both release the GIL.  At n = 1000, m = 2000
+    with one BLAS thread the vectors route took 0.31 s against 0.83 s for a
+    full SVD.  Callers hand over ``sample_matrix(...).scaled`` rather than the
+    sample, where they can, so that its raw draws and mask are freed before
+    the solver copies the Gram matrix.
 
-    Column j of X^T U / s is orthonormal only to about eps s_max^2 / s_j^2, so
+    Column j of a^T U / s is orthonormal only to about eps s_max^2 / s_j^2, so
     it is kept for the head s_j^2 > 16 s_max^2 / (r + 2) alone, which keeps
     the factor inside the orthonormality bound of ``SpectrumResult``.  The
     tail columns come from a Householder QR of the whole quotient (head
-    scaled, tail X^T U unscaled): its Q is orthonormal by construction, so
-    null directions are completed too, and |R_jj| (the norm of X^T u_j outside
+    scaled, tail a^T U unscaled): its Q is orthonormal by construction, so
+    null directions are completed too, and |R_jj| (the norm of a^T u_j outside
     the columns before it) replaces sqrt(lambda_j) as the tail's singular
     value.  That reads an exact zero to rounding, where sqrt(lambda) reads up
     to about sqrt(r eps) s_max.  For y = 0.5 and r = 1000 the tail is empty
@@ -65,13 +68,15 @@ def singular_values(x: SampledMatrix) -> SpectrumResult:
 
     Raises NumericalError when the eigensolver does not converge.
     """
-    a = x.scaled
     tall = a.shape[0] > a.shape[1]
     try:
-        lam, vec = np.linalg.eigh(_gram(a))
+        solved = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(_gram(a))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Gram eigensolver failed for shape {a.shape}: {exc}") from exc
+    lam, vec = solved if vectors else (solved, None)
     s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    if not vectors:
+        return SpectrumResult(singulars=s)
     own = np.ascontiguousarray(vec[:, ::-1])
     other = a @ own if tall else a.T @ own
     head = int(np.count_nonzero(s * s > 16.0 * s[0] ** 2 / (s.size + 2)))
@@ -85,22 +90,6 @@ def singular_values(x: SampledMatrix) -> SpectrumResult:
         s, own, other = s[order], own.take(order, axis=1), other.take(order, axis=1)
     u, w = (other, own) if tall else (own, other)
     return SpectrumResult(singulars=s, left_vectors=u, right_vectors=w)
-
-
-def squared_singular_values(x: SampledMatrix) -> np.ndarray:
-    """s_j^2 (ascending) as the eigenvalues of the smaller Gram matrix.
-
-    For when no singular vectors are needed: about four times faster than a
-    values-only SVD at n = 4000, m = 8000, agreeing with its squares to
-    1e-13.  The squares are returned as they are, since the Stieltjes
-    transform needs s^2, not s.  The symmetric Gram matrix is handed over by
-    its Fortran-ordered transpose so that the eigensolver overwrites it
-    instead of copying it.
-    """
-    try:
-        return eigvalsh(_gram(x.scaled).T, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Gram eigensolver failed for shape {x.scaled.shape}: {exc}") from exc
 
 
 def stieltjes_esd(s2: np.ndarray,
@@ -120,9 +109,8 @@ def _diag_factors(s: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     return d_proj, d_mid
 
 
-def resolvent_from_spectrum(spec: SpectrumResult,
-                            z: "ComplexPoint | complex") -> np.ndarray:
-    """The (n + m) x (n + m) resolvent of the block matrix, reusing an existing SVD."""
+def resolvent(spec: SpectrumResult, z: "ComplexPoint | complex") -> np.ndarray:
+    """The (n + m) x (n + m) resolvent of the block matrix from a spectrum with vectors."""
     zc = _as_complex(z)
     u, w = spec.left_vectors, spec.right_vectors
     n, m = u.shape[0], w.shape[0]
@@ -135,11 +123,6 @@ def resolvent_from_spectrum(spec: SpectrumResult,
     out[n:, n:] = (w * d_proj) @ w.T
     out[n:, n:].flat[:: m + 1] -= 1.0 / zc
     return out
-
-
-def resolvent(x: SampledMatrix, z: "ComplexPoint | complex") -> np.ndarray:
-    """R(z) = (V - zI)^{-1} assembled from a fresh ``singular_values`` of the sample."""
-    return resolvent_from_spectrum(singular_values(x), z)
 
 
 def _active_rows(factor: np.ndarray, active: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -51,6 +52,31 @@ def dense_sample(scaled) -> sm.SampledMatrix:
     scaled = np.asarray(scaled, dtype=np.float64)
     return sm.SampledMatrix(raw=scaled * math.sqrt(scaled.shape[1]),
                             mask=np.ones(scaled.shape, dtype=np.uint8), scaled=scaled)
+
+
+def watch_sample_lifetime(monkeypatch, module) -> list:
+    """Wrap ``module``'s ``sample_matrix`` and ``singular_values`` at their use site.
+
+    Every solve asserts that each sample drawn so far is already freed, so
+    that only its scaled matrix is alive while the Gram matrix is solved.
+    Returns the list that grows by one entry per solve.
+    """
+    samples, solves = [], []
+    draw, solve = module.sample_matrix, module.singular_values
+
+    def recorded(*args, **kwargs):
+        x = draw(*args, **kwargs)
+        samples.append(weakref.ref(x))
+        return x
+
+    def checked(*args, **kwargs):
+        assert samples and all(ref() is None for ref in samples)
+        solves.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(module, "sample_matrix", recorded)
+    monkeypatch.setattr(module, "singular_values", checked)
+    return solves
 
 
 @pytest.fixture(scope="session")

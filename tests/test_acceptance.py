@@ -86,20 +86,21 @@ def test_criterion_03_resolvent_correctness():
     v_mat[30:, :30] = x.scaled.T
     rng = np.random.default_rng(303)
     worst_ident = worst_dense = 0.0
+    spec = sm.singular_values(x.scaled, vectors=True)
     for _ in range(20):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.0))
-        r = sm.resolvent(x, z)
+        r = sm.resolvent(spec, z)
         worst_ident = max(worst_ident, float(np.abs(
             (v_mat - z * np.eye(90)) @ r - np.eye(90)).max()))
         worst_dense = max(worst_dense, float(np.abs(
             r - dense_resolvent(x.scaled, z)).max()))
     params_tr = gaussian_params(100, 150, 0.4, seed=304)
     xt = sm.sample_matrix(params_tr, 0)
-    spec = sm.singular_values(xt)
+    spec = sm.singular_values(xt.scaled, vectors=True)
     worst_trace = 0.0
     for _ in range(10):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.0))
-        r = sm.resolvent_from_spectrum(spec, z)
+        r = sm.resolvent(spec, z)
         trace = np.trace(r[:100, :100]) / 100
         worst_trace = max(worst_trace, abs(trace - sm.stieltjes_esd(spec.singulars ** 2, z)))
     ok = worst_ident < 1e-9 and worst_dense < 1e-9 and worst_trace < 1e-10

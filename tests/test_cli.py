@@ -22,7 +22,8 @@ from sparsemp.cli import (AuditConfig, ConcentrationConfig, ConfigAnalyzeConfig,
                           SweepConfig, TnMomentsConfig, _load, main)
 from sparsemp.locallaw import TnMomentResult
 from sparsemp.model import EntryDistribution, ModelParams
-from sparsemp.spectral import squared_singular_values
+
+from conftest import watch_sample_lifetime
 
 
 def write_cfg(tmp_path, name, payload):
@@ -60,7 +61,7 @@ def test_spectrum_runs_and_is_deterministic(tmp_path):
     assert lines[0] == "index,singular_value"
     assert len(lines) == 1 + MODEL["n"]
     x = sm.sample_matrix(_load(ModelParams, MODEL), 0)
-    top = math.sqrt(squared_singular_values(x)[-1])
+    top = sm.singular_values(x.scaled, vectors=False).singulars[0]
     assert float(lines[1].split(",")[1]) == pytest.approx(top, rel=1e-15)
 
 
@@ -101,6 +102,13 @@ def test_spectrum_rank_deficient_resolution(tmp_path):
     hist = np.loadtxt(out / "esd_histogram.csv", delimiter=",", skiprows=1)
     edges = np.append(hist[:, 0], hist[-1, 1])
     assert np.array_equal(hist[:, 2], np.histogram(np.concatenate([-ref, ref]), edges)[0])
+
+
+def test_spectrum_frees_sample_before_solve(tmp_path, monkeypatch):
+    solves = watch_sample_lifetime(monkeypatch, cli)
+    cfg = write_cfg(tmp_path, "spec.json", {"model": MODEL})
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    assert solves == [(MODEL["n"], MODEL["m"])]
 
 
 def test_spectrum_bad_params_exit_2(tmp_path):

@@ -11,9 +11,9 @@ from sparsemp import (CORRECTION_SIGNS, ComplexPoint, DomainSpec,
                       IdentityFailureError, ParameterError)
 from sparsemp.locallaw import ladder_levels
 from sparsemp.mplaw import _u_band
-from sparsemp.spectral import squared_singular_values
 
-from conftest import dense_resolvent, dense_sample, gaussian_params
+from conftest import (dense_resolvent, dense_sample, gaussian_params,
+                      watch_sample_lifetime)
 
 
 def oracle_corrections(x, z, p, j, side):
@@ -53,7 +53,7 @@ def oracle_corrections(x, z, p, j, side):
 
 def test_lambda_symmetry_in_u(medium_sample):
     _, x = medium_sample
-    s2 = sm.singular_values(x).singulars ** 2
+    s2 = sm.singular_values(x.scaled, vectors=True).singulars ** 2
     for u, v in ((0.8, 0.3), (1.4, 0.05), (0.2, 1.0)):
         a = abs(sm.lambda_n(s2, complex(u, v), 0.5))
         b = abs(sm.lambda_n(s2, complex(-u, v), 0.5))
@@ -64,7 +64,7 @@ def test_lambda_dense_calibration_large_n():
     # dense p=1 surrogate of the limit: Lambda at z=i must be small
     params = gaussian_params(4000, 8000, 1.0, seed=314)
     x = sm.sample_matrix(params, 0)
-    assert abs(sm.lambda_n(squared_singular_values(x), 1j, 0.5)) < 0.05
+    assert abs(sm.lambda_n(sm.singular_values(x.scaled, vectors=False).singulars ** 2, 1j, 0.5)) < 0.05
 
 
 def identity_residuals(x, z, side, terms):
@@ -76,7 +76,7 @@ def identity_residuals(x, z, side, terms):
     y = x.n / x.m
     S = sm.stieltjes_mp(z, y)
     base = S if side == "row" else -1.0 / (z + y * S)
-    lam = sm.lambda_n(sm.singular_values(x).singulars ** 2, z, y)
+    lam = sm.lambda_n(sm.singular_values(x.scaled, vectors=True).singulars ** 2, z, y)
     return np.abs(r - base * (1.0 - (e1 - e2 - e3) * r + y * lam * r))
 
 
@@ -95,7 +95,7 @@ def test_correction_terms_against_dense_oracle(side):
     cases.append((dense_sample(np.zeros((2, 3))), 1.0))
     for x, p in cases:
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.0))
-        terms = sm.correction_terms(x, sm.singular_values(x), z, side=side)
+        terms = sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z, side=side)
         size = x.n if side == "row" else x.m
         assert all(t.shape == (size,) for t in terms)
         for j in range(size):
@@ -104,7 +104,7 @@ def test_correction_terms_against_dense_oracle(side):
                 assert got[j] == pytest.approx(exp, abs=1e-12)
         assert identity_residuals(x, z, side, terms).max() < 1e-10
     with pytest.raises(ParameterError):
-        sm.correction_terms(x, sm.singular_values(x), z, side="diagonal")
+        sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z, side="diagonal")
 
 
 def test_correction_terms_square_small_direct():
@@ -113,7 +113,7 @@ def test_correction_terms_square_small_direct():
     x = dense_sample(np.array([[1.0, -0.5], [0.3, 2.0]]))
     z = complex(0.4, 0.6)
     for side in ("row", "column"):
-        terms = sm.correction_terms(x, sm.singular_values(x), z, side=side)
+        terms = sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z, side=side)
         for j in range(2):
             want = oracle_corrections(x, z, 1.0, j, side)
             for got, exp in zip(terms, want):
@@ -123,7 +123,7 @@ def test_correction_terms_square_small_direct():
 def test_correction_terms_zero_matrix():
     x = dense_sample(np.zeros((3, 4)))
     z = complex(0.7, 0.3)
-    terms = sm.correction_terms(x, sm.singular_values(x), z)
+    terms = sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z)
     eps1, eps2, eps3, _ = terms
     # with X = 0 the centering leaves eps2 = (1/z), and the bilinear sum dies
     np.testing.assert_allclose(eps2, 1.0 / z, rtol=0, atol=1e-13)
@@ -142,7 +142,7 @@ def test_eps1_interlacing_scale():
         x = sm.sample_matrix(params, 0)
         v = float(rng.uniform(0.1, 1.5))
         z = complex(rng.uniform(-1.5, 1.5), v)
-        eps1 = sm.correction_terms(x, sm.singular_values(x), z)[0]
+        eps1 = sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z)[0]
         assert np.abs(eps1).max() <= 2.0 / (m * v)
 
 
@@ -192,7 +192,7 @@ def test_audit_unique_convention_n2():
     assert audit.max_residual < 1e-10
     # alternate conventions are off by order one, not machine precision
     S = sm.stieltjes_mp(z, 0.5)
-    lam = sm.lambda_n(sm.singular_values(x).singulars ** 2, z, 0.5)
+    lam = sm.lambda_n(sm.singular_values(x.scaled, vectors=True).singulars ** 2, z, 0.5)
     for sa, sb, sc in ((1, 1, 1), (-1, 1, 1), (1, -1, -1), (-1, -1, -1)):
         eff = audit.eps1 + sb * (audit.eps2 + audit.eps3)
         r = audit.r_diag
@@ -268,7 +268,7 @@ def test_multiscale_ladder_counts():
     a0 = 0.1 * n / math.log(n) ** 4
     dom = DomainSpec(kind="d_mu", a0=a0, V=1.0, n=n, grid_u=4, grid_v=2, mu=0.2)
     params = gaussian_params(60, 120, 0.5, seed=3)
-    s2 = sm.singular_values(sm.sample_matrix(params, 0)).singulars ** 2
+    s2 = sm.singular_values(sm.sample_matrix(params, 0).scaled, vectors=True).singulars ** 2
     lad = sm.multiscale_ladder(s2, dom, gamma=1e9, s0=2.0, y=0.5)
     assert lad.k_v == 4
     assert len(lad.levels) == 5
@@ -318,10 +318,36 @@ def test_locallaw_scan_max_entry_matches_direct():
     a0 = 0.3 * n / math.log(n) ** 4
     dom = DomainSpec(kind="d_mu", a0=a0, V=1.0, n=n, grid_u=2, grid_v=1, mu=0.2)
     report = sm.locallaw_scan(params, dom, replications=1, C0=1.0, max_entry_stride=1)
-    spec = sm.singular_values(sm.sample_matrix(params, 0))
+    spec = sm.singular_values(sm.sample_matrix(params, 0).scaled, vectors=True)
     for pt, ps in zip(report.grid, report.per_point):
-        r = sm.resolvent_from_spectrum(spec, pt)
+        r = sm.resolvent(spec, pt)
         assert ps.max_entry == pytest.approx(np.abs(r).max(), abs=1e-12)
+
+
+@pytest.mark.parametrize("stride", [0, 1])
+def test_locallaw_scan_frees_sample_before_solve(monkeypatch, stride):
+    params = gaussian_params(30, 60, 0.5, seed=19)
+    dom = DomainSpec(kind="d_mu", a0=0.3 * 30 / math.log(30) ** 4, V=1.0, n=30,
+                     grid_u=2, grid_v=1, mu=0.2)
+    solves = watch_sample_lifetime(monkeypatch, sm.locallaw)
+    sm.locallaw_scan(params, dom, replications=2, max_entry_stride=stride)
+    assert solves == [(30, 60)] * 2
+
+
+def test_tn_moment_study_solves_once_per_replication(monkeypatch):
+    calls = []
+    gram = sm.spectral._gram
+
+    def counted(a):
+        calls.append(a.shape)
+        return gram(a)
+
+    monkeypatch.setattr(sm.spectral, "_gram", counted)
+    params = gaussian_params(20, 40, 0.5, seed=29)
+    res = sm.tn_moment_study(params, ComplexPoint(0.9, 0.5), q=2, replications=1000,
+                             gamma=0.5)
+    assert res.survivors > 0
+    assert len(calls) == 1000
 
 
 def test_locallaw_scan_rejects_bad_args():

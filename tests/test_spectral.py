@@ -6,30 +6,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sparsemp as sm
-from sparsemp.spectral import squared_singular_values
 
 from conftest import dense_resolvent, dense_sample, gaussian_params
 
 
 def test_zero_matrix_spectrum_and_resolvent():
     x = dense_sample(np.zeros((3, 5)))
-    spec = sm.singular_values(x)
+    spec = sm.singular_values(x.scaled, vectors=True)
     assert np.all(spec.singulars == 0.0)
     z = complex(0.4, 0.7)
-    r = sm.resolvent(x, z)
+    r = sm.resolvent(spec, z)
     np.testing.assert_allclose(r, -np.eye(8) / z, atol=1e-14)
 
 
 def test_diagonal_injection_singulars():
     x = dense_sample(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    spec = sm.singular_values(x)
+    spec = sm.singular_values(x.scaled, vectors=True)
     np.testing.assert_allclose(spec.singulars, [2.0, 1.0], atol=1e-14)
 
 
 def test_svd_against_eigensolver_oracle():
     params = gaussian_params(50, 100, 0.6, seed=5)
     x = sm.sample_matrix(params, 0)
-    spec = sm.singular_values(x)
+    spec = sm.singular_values(x.scaled, vectors=True)
     eigs = np.linalg.eigvalsh(x.scaled @ x.scaled.T)
     oracle = np.sqrt(np.clip(eigs, 0.0, None))[::-1]
     np.testing.assert_allclose(spec.singulars, oracle, atol=1e-9)
@@ -44,7 +43,8 @@ def test_singular_values_against_lapack_svd():
     """The Gram route against LAPACK's SVD, on the shapes where it is weakest.
 
     Values agree to the eigensolver oracle's 1e-9 down to the README's
-    resolution limit sqrt(n eps) s_max and lie below it where the SVD's do.
+    resolution limit sqrt(n eps) s_max and lie below it where the SVD's do;
+    above it the values-only route agrees with them to 1e-9 too.
     The singular vector of each simple singular value above that limit
     agrees up to sign, and so does its projector, to 4 r eps (1 + s_max^2 /
     gap), gap being the distance of s_j^2 to the nearest other square.  Both
@@ -63,12 +63,15 @@ def test_singular_values_against_lapack_svd():
         "n=1": _random_sample(1, 5, 1.0, 1),
     }
     for name, x in samples.items():
-        spec = sm.singular_values(x)
+        spec = sm.singular_values(x.scaled, vectors=True)
+        values = sm.singular_values(x.scaled, vectors=False).singulars
         u_ref, s_ref, wt_ref = np.linalg.svd(x.scaled, full_matrices=False)
         r = s_ref.size
         limit = math.sqrt(x.n * eps) * s_ref[0]
         resolved = s_ref > limit
         np.testing.assert_allclose(spec.singulars[resolved], s_ref[resolved], rtol=0,
+                                   atol=1e-9, err_msg=name)
+        np.testing.assert_allclose(values[resolved], spec.singulars[resolved], rtol=0,
                                    atol=1e-9, err_msg=name)
         assert np.all(spec.singulars[~resolved] <= limit), name
         rebuilt = (spec.left_vectors * spec.singulars) @ spec.right_vectors.T
@@ -86,11 +89,16 @@ def test_singular_values_against_lapack_svd():
 
 
 def test_squared_singular_values_against_svd():
-    assert np.all(squared_singular_values(dense_sample(np.zeros((2, 3)))) == 0.0)
+    """The values route: s^2 to 1e-12 of the SVD's, descending, no vectors."""
+    zero = sm.singular_values(np.zeros((2, 3)), vectors=False)
+    assert np.all(zero.singulars == 0.0)
     for n, p in ((2, 1.0), (50, 0.6), (300, 0.1)):
         x = sm.sample_matrix(gaussian_params(n, 2 * n, p, seed=n), 0)
-        oracle = np.linalg.svd(x.scaled, compute_uv=False)[::-1] ** 2
-        np.testing.assert_allclose(squared_singular_values(x), oracle, rtol=0, atol=1e-12)
+        spec = sm.singular_values(x.scaled, vectors=False)
+        assert spec.left_vectors is None and spec.right_vectors is None
+        assert np.all(np.diff(spec.singulars) <= 0.0)
+        oracle = np.linalg.svd(x.scaled, compute_uv=False) ** 2
+        np.testing.assert_allclose(spec.singulars ** 2, oracle, rtol=0, atol=1e-12)
 
 
 def test_stieltjes_esd_values():
@@ -109,9 +117,9 @@ def test_stieltjes_esd_values():
 
 def test_stieltjes_esd_matches_resolvent_trace(medium_sample):
     _, x = medium_sample
-    spec = sm.singular_values(x)
+    spec = sm.singular_values(x.scaled, vectors=True)
     for z in (complex(0.5, 0.4), complex(-1.2, 0.15), complex(0.0, 2.0)):
-        r = sm.resolvent_from_spectrum(spec, z)
+        r = sm.resolvent(spec, z)
         trace = np.trace(r[:x.n, :x.n]) / x.n
         assert abs(trace - sm.stieltjes_esd(spec.singulars ** 2, z)) < 1e-10
 
@@ -120,7 +128,7 @@ def test_resolvent_one_by_one_hand_case():
     a = 0.8
     x = dense_sample(np.array([[a]]))
     z = complex(0.2, 0.5)
-    r = sm.resolvent(x, z)
+    r = sm.resolvent(sm.singular_values(x.scaled, vectors=True), z)
     denom = a * a - z * z
     assert r[0, 0] == pytest.approx(z / denom, abs=1e-14)
     assert r[0, 1] == pytest.approx(a / denom, abs=1e-14)
@@ -133,9 +141,10 @@ def test_resolvent_against_dense_inverse(medium_sample):
     v_mat = np.zeros((90, 90))
     v_mat[:30, 30:] = x.scaled
     v_mat[30:, :30] = x.scaled.T
+    spec = sm.singular_values(x.scaled, vectors=True)
     for _ in range(5):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.0))
-        r = sm.resolvent(x, z)
+        r = sm.resolvent(spec, z)
         dense = dense_resolvent(x.scaled, z)
         assert np.abs(r - dense).max() < 1e-9
         ident = (v_mat - z * np.eye(90)) @ r - np.eye(90)
@@ -154,7 +163,7 @@ def test_trace_interlacing_bound():
         v = float(rng.uniform(0.05, 2.0))
         z = complex(rng.uniform(-2, 2), v)
         j = int(rng.integers(0, n))
-        full = np.trace(sm.resolvent(x, z))
+        full = np.trace(sm.resolvent(sm.singular_values(x.scaled, vectors=True), z))
         minor = np.trace(dense_resolvent(np.delete(x.scaled, j, 0), z))
         assert abs(full - minor) <= 2.0 / v
 
@@ -163,14 +172,14 @@ def test_ward_identity(medium_sample):
     _, x = medium_sample
     v = 0.35
     z = complex(0.8, v)
-    r = sm.resolvent(x, z)
+    r = sm.resolvent(sm.singular_values(x.scaled, vectors=True), z)
     row_norms = (np.abs(r) ** 2).sum(axis=1)
     np.testing.assert_allclose(row_norms, np.imag(np.diag(r)) / v, atol=1e-8)
 
 
 def test_multiplicative_inequality_diagonal(medium_sample):
     _, x = medium_sample
-    spec = sm.singular_values(x)
+    spec = sm.singular_values(x.scaled, vectors=True)
     rng = np.random.default_rng(31)
     d = x.n + x.m
     for _ in range(1000):
@@ -178,29 +187,29 @@ def test_multiplicative_inequality_diagonal(medium_sample):
         u = float(rng.uniform(-2, 2))
         v = float(rng.uniform(0.05, 1.0))
         s = float(rng.uniform(1.0, 10.0))
-        r1 = sm.resolvent_from_spectrum(spec, complex(u, v))
-        r2 = sm.resolvent_from_spectrum(spec, complex(u, s * v))
+        r1 = sm.resolvent(spec, complex(u, v))
+        r2 = sm.resolvent(spec, complex(u, s * v))
         assert abs(r1[j, j]) <= s * abs(r2[j, j]) + 1e-12
 
 
 def test_large_v_limit(medium_sample):
     _, x = medium_sample
     z = complex(0.5, 1000.0)
-    r = sm.resolvent(x, z)
+    r = sm.resolvent(sm.singular_values(x.scaled, vectors=True), z)
     assert np.abs(np.diag(r) + 1.0 / z).max() < 1e-4
 
 
 def test_max_entry_examples(medium_sample):
     x0 = dense_sample(np.zeros((2, 3)))
-    r0 = sm.resolvent(x0, 1j)
+    r0 = sm.resolvent(sm.singular_values(x0.scaled, vectors=True), 1j)
     assert np.abs(r0).max() == pytest.approx(1.0, abs=1e-15)
     _, x = medium_sample
     z = complex(0.9, 0.25)
-    r = sm.resolvent(x, z)
+    spec = sm.singular_values(x.scaled, vectors=True)
+    r = sm.resolvent(spec, z)
     full_scan = np.abs(r).max()
     assert full_scan >= abs(r[0, 0])
     # blockwise path equals the full scan
-    spec = sm.singular_values(x)
     assert sm.resolvent_max_abs(spec, z) == pytest.approx(full_scan, abs=1e-12)
     assert sm.resolvent_max_abs(spec, z, chunk=7) == pytest.approx(full_scan, abs=1e-12)
 
@@ -229,12 +238,12 @@ def test_resolvent_max_abs_against_dense_scan():
     }
     seen = set()
     for name, x in samples.items():
-        spec = sm.singular_values(x)
+        spec = sm.singular_values(x.scaled, vectors=True)
         n = x.n
         for re in (0.1, 0.9, 2.5):
             for im in (0.01, 0.25, 5.0):
                 z = complex(re, im)
-                r = sm.resolvent_from_spectrum(spec, z)
+                r = sm.resolvent(spec, z)
                 want = np.abs(r).max()
                 dense = np.abs(r)
                 j, k = np.unravel_index(dense.argmax(), dense.shape)
@@ -285,12 +294,12 @@ def test_resolvent_max_abs_pruned_property(n, m, density, re, log_im, chunk, see
     """
     m = n + 1 if m == -1 else m
     x = _random_sample(n, m, density, seed)
-    spec = sm.singular_values(x)
+    spec = sm.singular_values(x.scaled, vectors=True)
     for f in (spec.left_vectors, spec.right_vectors):
         r = f.shape[1]
         assert np.linalg.norm(f.T @ f - np.eye(r), 2) <= 4 * (r + 2) * np.finfo(float).eps
     z = complex(re, 10.0 ** log_im)
-    want = np.abs(sm.resolvent_from_spectrum(spec, z)).max()
+    want = np.abs(sm.resolvent(spec, z)).max()
     got = (sm.resolvent_max_abs(spec, z) if chunk is None
            else sm.resolvent_max_abs(spec, z, chunk=chunk))
     assert got == pytest.approx(want, rel=1e-12, abs=0)
@@ -302,8 +311,8 @@ def test_resolvent_max_abs_partial_pruning():
     z = complex(0.9, 0.05)
     x = dense_sample(np.array([[0.0, 0.0, 1.002 * abs(z)],
                                            [0.3, 0.0, 0.0]]))
-    spec = sm.singular_values(x)
-    r = sm.resolvent_from_spectrum(spec, z)
+    spec = sm.singular_values(x.scaled, vectors=True)
+    r = sm.resolvent(spec, z)
     dense = np.abs(r)
     active = _ward_active(r, z)
     assert 0 < active.sum() < active.size
@@ -321,10 +330,10 @@ def test_ward_identity_against_dense_resolvent():
                _random_sample(12, 7, 0.6, 12), _random_sample(20, 21, 0.3, 20),
                _random_sample(15, 40, 0.1, 15)]
     for x in samples:
-        spec = sm.singular_values(x)
+        spec = sm.singular_values(x.scaled, vectors=True)
         for z in (complex(0.9, 1e-3), complex(-0.4, 0.05), complex(1.3, 1.0), complex(0.2, 10.0)):
             for entries in (dense_resolvent(x.scaled, z),
-                            sm.resolvent_from_spectrum(spec, z)):
+                            sm.resolvent(spec, z)):
                 rows = (np.abs(entries) ** 2).sum(axis=1)
                 np.testing.assert_allclose(rows, np.diag(entries).imag / z.imag,
                                            rtol=1e-12, atol=0)
@@ -332,6 +341,6 @@ def test_ward_identity_against_dense_resolvent():
 
 def test_esd_histogram_counts(medium_sample):
     _, x = medium_sample
-    spec = sm.singular_values(x)
+    spec = sm.singular_values(x.scaled, vectors=True)
     counts = sm.spectral.esd_histogram(spec.singulars, np.linspace(-2, 2, 9))
     assert counts.sum() == 60   # all +-s_j fall inside [-2, 2]
