@@ -13,9 +13,8 @@ from .errors import (DegenerateConditioningError, DivergentMomentError,
                      ExactEnumerationError, IdentityFailureError,
                      NumericalError, ParameterError)
 from .locallaw import (AuditResult, CORRECTION_SIGNS, LocalLawReport,
-                       MultiscaleLadder, TnMomentResult, correction_terms,
-                       lambda_n, locallaw_scan, multiscale_ladder,
-                       self_consistency_audit, tn_moment_study)
+                       TnMomentResult, correction_terms, ladder_grid, lambda_n,
+                       locallaw_scan, self_consistency_audit, tn_moment_study)
 from .mc import MCEstimate
 from .model import EntryDistribution, ModelParams, SampledMatrix, sample_matrix
 from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
@@ -32,16 +31,17 @@ __all__ = [
     "CORRECTION_SIGNS", "DegenerateConditioningError",
     "DivergentMomentError", "DomainSpec", "EntryDistribution",
     "ExactEnumerationError", "IdentityFailureError", "LocalLawReport",
-    "MCEstimate", "ModelParams", "MultiscaleLadder",
+    "MCEstimate", "ModelParams",
     "NumericalError", "ParameterError",
     "SampledMatrix", "SpectrumResult", "TnMomentResult", "b_function",
     "bilinear_moment_exact", "bilinear_moment_mc",
     "classify", "concentration_evaluate", "correction_terms", "d_function",
     "d_n_function",
     "domain_grid", "gamma_n", "gamma_n_theorem1",
-    "inadmissibility_probability", "lambda_n", "lemma_rhs", "locallaw_scan",
+    "inadmissibility_probability", "ladder_grid", "lambda_n", "lemma_rhs",
+    "locallaw_scan",
     "mp_cdf", "mp_density", "mp_edges",
-    "multiscale_ladder", "prior_bound_tn", "resolvent", "resolvent_max_abs",
+    "prior_bound_tn", "resolvent", "resolvent_max_abs",
     "sample_configuration", "sample_matrix", "self_consistency_audit",
     "singular_values",
     "stieltjes_esd", "stieltjes_mp", "tn_moment_study",

@@ -30,7 +30,8 @@ from .errors import (DegenerateConditioningError, IdentityFailureError,
                      NumericalError, ParameterError)
 from .locallaw import locallaw_scan, self_consistency_audit, tn_moment_study
 from .model import EntryDistribution, ModelParams, sample_matrix
-from .mplaw import ComplexPoint, DomainSpec, mp_cdf, mp_density, mp_edges
+from .mplaw import (ComplexPoint, DomainSpec, domain_grid, mp_cdf, mp_density,
+                    mp_edges)
 from .spectral import esd_histogram, singular_values
 
 EXIT_OK = 0
@@ -120,6 +121,8 @@ class SweepConfig:
             raise ParameterError("n_values must be nonempty")
         if not (0.0 < self.y <= 1.0):   # also rejects NaN
             raise ParameterError(f"config key 'y' must lie in (0, 1], got {self.y!r}")
+        for n in self.n_values:   # every n is checked before any report is written
+            self.params_for(n)
 
     def params_for(self, n: int) -> ModelParams:
         m = round(n / self.y)
@@ -135,6 +138,10 @@ class LocalLawConfig:
     replications: int = 20
     C0: float = 1.0
     max_entry_stride: int = 10
+
+    def __post_init__(self):
+        for n in self.sweep.n_values:   # every n's domain, before any report is written
+            domain_grid(self.domain.spec_for(n), self.sweep.y)
 
 
 @dataclass(frozen=True)

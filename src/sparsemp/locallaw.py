@@ -33,8 +33,8 @@ from .errors import (DegenerateConditioningError, IdentityFailureError,
                      ParameterError)
 from .mc import map_replications
 from .model import ModelParams, SampledMatrix, sample_matrix
-from .mplaw import (ComplexPoint, DomainSpec, _as_complex, _check_y, _u_band,
-                    domain_grid, gamma_n, stieltjes_mp)
+from .mplaw import (D_MU, ComplexPoint, DomainSpec, _as_complex, _check_y,
+                    _u_band, domain_grid, gamma_n, stieltjes_mp)
 from .spectral import (SpectrumResult, _diag_factors, resolvent_max_abs,
                        singular_values, stieltjes_esd)
 
@@ -66,11 +66,11 @@ def lambda_n(s2: np.ndarray, z: "ComplexPoint | complex | np.ndarray",
     return stieltjes_esd(s2, z) - stieltjes_mp(z, y)
 
 
-def correction_terms(x: SampledMatrix, spec: SpectrumResult, z: "ComplexPoint | complex",
+def correction_terms(a: np.ndarray, spec: SpectrumResult, z: "ComplexPoint | complex",
                      side: str = ROW) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Correction terms eps_1..3 and the diagonal R entry for every index of a side.
 
-    In the scaled sample w = x.scaled the terms of index j read
+    In the scaled n x m sample w = a the terms of index j read
 
         eps_1 = (1/m) (tr R_22 - tr R^(j)_22),
         eps_2 = sum_k (w_jk^2 - 1/m) R^(j)_kk,
@@ -91,33 +91,34 @@ def correction_terms(x: SampledMatrix, spec: SpectrumResult, z: "ComplexPoint | 
     """
     if side == ROW:
         own, other = spec.left_vectors, spec.right_vectors
-        w = x.scaled
+        w = a
     elif side == COLUMN:
         own, other = spec.right_vectors, spec.left_vectors
-        w = x.scaled.T
+        w = a.T
     else:
         raise ParameterError(f"side must be {ROW!r} or {COLUMN!r}, got {side!r}")
+    m = a.shape[1]
     zc = _as_complex(z)
     d_proj, d_mid = _diag_factors(spec.singulars, zc)
-    a = own * d_mid
+    own_mid = own * d_mid
     r_diag = (own * own) @ d_proj - 1.0 / zc
     corner_diag = (other * other) @ d_proj - 1.0 / zc   # opposite corner, full matrix
     w2 = w * w
-    centered = w2 - 1.0 / x.m
+    centered = w2 - 1.0 / m
     proj = w @ other
     quad = (proj * proj) @ d_proj - w2.sum(axis=1) / zc
-    bw = np.einsum("ij,ij->i", a, proj)                 # B_j . w_j
+    bw = np.einsum("ij,ij->i", own_mid, proj)           # B_j . w_j
     # row sums of B_j^2 weighted by the centered squares and by w_j^2,
     # blocked so that B never exceeds _SCHUR_BLOCK rows
     b2_centered = np.empty(r_diag.shape, dtype=np.complex128)
     b2_w2 = np.empty(r_diag.shape, dtype=np.complex128)
     for lo in range(0, r_diag.size, _SCHUR_BLOCK):
         hi = lo + _SCHUR_BLOCK
-        b = a[lo:hi] @ other.T
+        b = own_mid[lo:hi] @ other.T
         b *= b
         b2_centered[lo:hi] = np.einsum("ij,ij->i", centered[lo:hi], b)
         b2_w2[lo:hi] = np.einsum("ij,ij->i", w2[lo:hi], b)
-    eps1 = np.einsum("ij,ij->i", a, a) / (r_diag * x.m)
+    eps1 = np.einsum("ij,ij->i", own_mid, own_mid) / (r_diag * m)
     eps2 = centered @ corner_diag - b2_centered / r_diag
     eps3 = quad - bw * bw / r_diag - (w2 @ corner_diag - b2_w2 / r_diag)
     return eps1, eps2, eps3, r_diag
@@ -179,7 +180,7 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex",
     S = stieltjes_mp(zc, y)
     lam = s_n - S
 
-    eps1, eps2, eps3, r_diag = correction_terms(x, spec, zc)
+    eps1, eps2, eps3, r_diag = correction_terms(x.scaled, spec, zc)
     eps = (eps1, eps2, eps3)
     residuals = _identity_residual(S, r_diag, eps, lam, y, CORRECTION_SIGNS)
     frozen = float(residuals.max())
@@ -202,52 +203,31 @@ def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex",
         residual_flipped=abs(s_n - S * (1.0 + t_n - y * lam * s_n)))
 
 
-@dataclass(frozen=True)
-class MultiscaleLadder:
-    """The v-ladder v, s0*v, ..., s0^{k_v} v with per-level |Lambda| flags."""
+def ladder_grid(v: float, V: float, s0: float, y: float, mu: float,
+                grid_u: int) -> np.ndarray:
+    """The z-grid of the multiscale v-ladder, one row per level.
 
-    s0: float
-    V: float
-    v: float
-    k_v: int
-    gamma: float
-    levels: tuple[float, ...]
-    gamma_flags: tuple[bool, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        """The empirical conjunction event Q."""
-        return all(self.gamma_flags)
-
-
-def ladder_levels(v: float, V: float, s0: float) -> tuple[int, tuple[float, ...]]:
+    Row l sits at Im z = s0^l v for l = 0..k_v: the first level is v itself
+    and k_v is the least l with s0^l v >= V (0 when v >= V).  Each row holds
+    the ``grid_u`` points of the D_mu u-band 1 - sqrt(y) + mu <= |u| <=
+    1 + sqrt(y) - mu in each sign band, negative band first.
+    """
     if not (s0 > 1.0):
         raise ParameterError(f"s0 must exceed 1, got {s0!r}")
     if not (0.0 < v):
         raise ParameterError(f"v must be positive, got {v!r}")
+    if not (mu > 0.0):
+        raise ParameterError(f"d_mu domain needs mu > 0, got {mu!r}")
+    if not (V > 0.0):
+        raise ParameterError(f"V must be positive, got {V!r}")
+    if grid_u < 1:
+        raise ParameterError(f"grid_u must be >= 1, got {grid_u!r}")
     k_v = 0
     while s0 ** k_v * v < V:
         k_v += 1
-    return k_v, tuple(s0 ** l * v for l in range(k_v + 1))
-
-
-def multiscale_ladder(s2: np.ndarray, domain: DomainSpec, gamma: float,
-                      s0: float, y: float) -> MultiscaleLadder:
-    """Flags, per ladder level, whether sup_u |Lambda_n(u + i s0^l v)| <= gamma.
-
-    ``s2`` holds the squared singular values; u runs over both sign bands.
-    """
-    _check_y(y)
-    if gamma < 0.0:
-        raise ParameterError(f"gamma must be nonnegative, got {gamma!r}")
-    v = domain.v0
-    k_v, levels = ladder_levels(v, domain.V, s0)
-    us = np.array([np.linspace(*_u_band(domain, y, lvl), domain.grid_u) for lvl in levels])
-    zs = np.hstack((-us, us)) + 1j * np.array(levels)[:, None]
-    sups = np.abs(lambda_n(s2, zs, y)).max(axis=1)
-    return MultiscaleLadder(s0=float(s0), V=float(domain.V), v=float(v), k_v=k_v,
-                            gamma=float(gamma), levels=levels,
-                            gamma_flags=tuple(bool(sup <= gamma) for sup in sups))
+    levels = np.array([s0 ** l * v for l in range(k_v + 1)])
+    us = np.linspace(*_u_band(D_MU, mu, y, v), grid_u)
+    return np.hstack((-us, us)) + 1j * levels[:, None]
 
 
 @dataclass(frozen=True)
@@ -336,31 +316,27 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
     gammas = np.array([gamma_n(params.n, params.p, pt.v, C0) for pt in grid])
     me_idx = list(range(0, len(grid), max_entry_stride)) if max_entry_stride else []
 
-    def one(rep: int) -> tuple[np.ndarray, dict[int, float]]:
+    def one(rep: int) -> tuple[np.ndarray, list[float]]:
         spec = singular_values(sample_matrix(params, rep).scaled, vectors=bool(me_idx))
         lam_abs = np.abs(lambda_n(spec.singulars ** 2, zs, y))
-        return lam_abs, {i: resolvent_max_abs(spec, grid[i]) for i in me_idx}
+        return lam_abs, [resolvent_max_abs(spec, grid[i]) for i in me_idx]
 
     results = map_replications(one, replications, workers)
 
     lam_matrix = np.vstack([lam for lam, _ in results])      # reps x points
     ratios = lam_matrix / gammas[None, :]
     sup_ratio = float(ratios.max())
-    per_point = []
-    for i in range(len(grid)):
-        max_entries = [res[1][i] for res in results if i in res[1]]
-        per_point.append(PointStats(
-            lambda_abs=float(lam_matrix[:, i].max()),
-            gamma=float(gammas[i]),
-            ratio=float(ratios[:, i].max()),
-            max_entry=float(max(max_entries)) if max_entries else None,
-        ))
+    lam_sup, ratio_sup = lam_matrix.max(axis=0), ratios.max(axis=0)
+    me_sup = dict(zip(me_idx, np.max([me for _, me in results], axis=0).tolist()))
+    per_point = tuple(PointStats(lambda_abs=float(lam_sup[i]), gamma=float(gammas[i]),
+                                 ratio=float(ratio_sup[i]), max_entry=me_sup.get(i))
+                      for i in range(len(grid)))
     sup_per_rep = tuple(float(v) for v in lam_matrix.max(axis=1))
     return LocalLawReport(
         params=params,
         C0=float(C0),
         grid=tuple(grid),
-        per_point=tuple(per_point),
+        per_point=per_point,
         replications=replications,
         sup_ratio=sup_ratio,
         fitted_k=sup_ratio,
@@ -402,31 +378,32 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
 
     The conditioning ladder starts at v = Im z and climbs by factors of s0
     up to V, checking sup_u |Lambda_n| <= gamma over the D_mu u-band at each
-    level.  Reported against the envelope ((1/(nv) + 1/(np)) log n)^q at
-    C = 1, together with the fitted C.
+    level (``ladder_grid``, built once per study).  Reported against the
+    envelope ((1/(nv) + 1/(np)) log n)^q at C = 1, together with the fitted
+    C.  Only the scaled matrix reaches the solver and the correction terms,
+    so each sample's raw draws and mask are freed before its Gram matrix is
+    solved.
     """
     if q not in (0, 2, 4):
         raise ParameterError(f"q must be one of 0, 2, 4, got {q!r}")
     if replications < 1000:
         raise ParameterError(f"replications must be >= 1000, got {replications}")
+    if not (gamma >= 0.0):
+        raise ParameterError(f"gamma must be nonnegative, got {gamma!r}")
     zc = _as_complex(z)
     y = params.y
     _check_y(y)
     v = zc.imag
-    # domain whose v0 equals Im z, so the ladder starts at z itself
-    a0 = v * params.n / math.log(params.n) ** 4
-    domain = DomainSpec(kind="d_mu", a0=a0, V=max(V, v), n=params.n,
-                        grid_u=grid_u, grid_v=1, mu=mu)
+    zs = ladder_grid(v, V, s0, y, mu, grid_u)
 
     def one(rep: int) -> float | None:
-        x = sample_matrix(params, rep)
-        spec = singular_values(x.scaled, vectors=q > 0)
-        ladder = multiscale_ladder(spec.singulars ** 2, domain, gamma, s0, y)
-        if not ladder.all_pass:
+        a = sample_matrix(params, rep).scaled
+        spec = singular_values(a, vectors=q > 0)
+        if not (np.abs(lambda_n(spec.singulars ** 2, zs, y)).max(axis=1) <= gamma).all():
             return None
         if q == 0:
             return 1.0
-        return abs(_t_n(*correction_terms(x, spec, zc))) ** q
+        return abs(_t_n(*correction_terms(a, spec, zc))) ** q
 
     values = [val for val in map_replications(one, replications, workers) if val is not None]
     if not values:

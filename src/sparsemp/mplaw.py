@@ -248,15 +248,15 @@ class DomainSpec:
         return self.a0 * math.log(self.n) ** 4 / self.n
 
 
-def _u_band(spec: DomainSpec, y: float, v: float) -> tuple[float, float]:
+def _u_band(kind: str, mu: float, y: float, v: float) -> tuple[float, float]:
     r = math.sqrt(y)
-    if spec.kind == D_MU:
-        lo, hi = 1.0 - r + spec.mu, 1.0 + r - spec.mu
+    if kind == D_MU:
+        lo, hi = 1.0 - r + mu, 1.0 + r - mu
     else:
         lo, hi = max(1.0 - r - v, 0.0), 1.0 + r + v
     if lo > hi:
         raise ParameterError(
-            f"empty u-band for kind={spec.kind}, mu={spec.mu}, y={y}: [{lo}, {hi}]"
+            f"empty u-band for kind={kind}, mu={mu}, y={y}: [{lo}, {hi}]"
         )
     return lo, hi
 
@@ -278,7 +278,7 @@ def domain_grid(spec: DomainSpec, y: float) -> list[ComplexPoint]:
     vs = np.geomspace(v0, spec.V, spec.grid_v)
     points: list[ComplexPoint] = []
     for v in vs:
-        lo, hi = _u_band(spec, y, float(v))
+        lo, hi = _u_band(spec.kind, spec.mu, y, float(v))
         us = np.linspace(lo, hi, spec.grid_u)
         for u in us[::-1]:
             points.append(ComplexPoint(-float(u), float(v)))

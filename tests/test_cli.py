@@ -291,6 +291,21 @@ def test_tn_moments_q0(tmp_path):
     assert report["survivors"] == 1000
 
 
+def test_tn_moments_q2_workers_identical(tmp_path):
+    # q = 2 runs the vectors route and the correction terms in every survivor;
+    # at gamma 0.05 about half the replications fail the ladder
+    cfg = write_cfg(tmp_path, "tn2.json", {**TN_MOMENTS, "q": 2, "gamma": 0.05})
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        assert main(["tn-moments", "--config", cfg, "--out-dir", str(out),
+                     "--workers", workers]) == 0
+        outputs.append(read_all(out))
+    assert outputs[0] == outputs[1]
+    report = json.loads(outputs[0]["tn_moments.json"])
+    assert 0 < report["survivors"] < 1000 and report["estimate"] > 0
+
+
 def test_tn_moments_degenerate_exit_1(tmp_path):
     payload = {"model": {"n": 20, "m": 40, "p": 0.5, "dist": "gaussian",
                          "delta": 2.0, "seed": 23},
@@ -487,6 +502,34 @@ def test_motivating_configs_exit_2(cfg_dir, command, payload, key):
     code, err = run_cli(cfg_dir, command, payload)
     assert code == 2
     assert repr(key) in err
+
+
+def _sweep(payload: dict, **sweep) -> dict:
+    payload = copy.deepcopy(payload)
+    payload["sweep"].pop("p", None)
+    payload["sweep"].update(sweep)
+    return payload
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    # p = 50/40 > 1 at the second n
+    ("locallaw", _sweep(_locallaw_payload(), np_product=50.0, n_values=[100, 40]),
+     "p must lie in (0, 1]"),
+    # v0 = a0 log^4(n)/n is 0.83 at n = 2000 but 1.14 > V at n = 1000
+    ("locallaw", _sweep(_with(_locallaw_payload(), ("domain", "a0"), 0.5),
+                        p=0.5, n_values=[2000, 1000]), "exceeds V"),
+    ("config-analyze", _sweep(CONFIG_ANALYZE, np_product=50.0, n_values=[100, 30]),
+     "p must lie in (0, 1]"),
+])
+def test_sweep_checks_every_n_before_any_report(tmp_path, command, payload, message):
+    cfg = write_cfg(tmp_path, "sweep.json", payload)
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, "--out-dir", str(out)])
+    assert code == 2
+    assert message in err.getvalue()
+    assert list(out.glob("*")) == []
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe{}", b"{\"model\": "])

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 import sparsemp as sm
 from sparsemp import (CORRECTION_SIGNS, ComplexPoint, DomainSpec,
                       IdentityFailureError, ParameterError)
-from sparsemp.locallaw import ladder_levels
-from sparsemp.mplaw import _u_band
 
 from conftest import (dense_resolvent, dense_sample, gaussian_params,
                       watch_sample_lifetime)
@@ -95,7 +93,7 @@ def test_correction_terms_against_dense_oracle(side):
     cases.append((dense_sample(np.zeros((2, 3))), 1.0))
     for x, p in cases:
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(0.2, 1.0))
-        terms = sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z, side=side)
+        terms = sm.correction_terms(x.scaled, sm.singular_values(x.scaled, vectors=True), z, side=side)
         size = x.n if side == "row" else x.m
         assert all(t.shape == (size,) for t in terms)
         for j in range(size):
@@ -104,7 +102,7 @@ def test_correction_terms_against_dense_oracle(side):
                 assert got[j] == pytest.approx(exp, abs=1e-12)
         assert identity_residuals(x, z, side, terms).max() < 1e-10
     with pytest.raises(ParameterError):
-        sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z, side="diagonal")
+        sm.correction_terms(x.scaled, sm.singular_values(x.scaled, vectors=True), z, side="diagonal")
 
 
 def test_correction_terms_square_small_direct():
@@ -113,7 +111,7 @@ def test_correction_terms_square_small_direct():
     x = dense_sample(np.array([[1.0, -0.5], [0.3, 2.0]]))
     z = complex(0.4, 0.6)
     for side in ("row", "column"):
-        terms = sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z, side=side)
+        terms = sm.correction_terms(x.scaled, sm.singular_values(x.scaled, vectors=True), z, side=side)
         for j in range(2):
             want = oracle_corrections(x, z, 1.0, j, side)
             for got, exp in zip(terms, want):
@@ -123,7 +121,7 @@ def test_correction_terms_square_small_direct():
 def test_correction_terms_zero_matrix():
     x = dense_sample(np.zeros((3, 4)))
     z = complex(0.7, 0.3)
-    terms = sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z)
+    terms = sm.correction_terms(x.scaled, sm.singular_values(x.scaled, vectors=True), z)
     eps1, eps2, eps3, _ = terms
     # with X = 0 the centering leaves eps2 = (1/z), and the bilinear sum dies
     np.testing.assert_allclose(eps2, 1.0 / z, rtol=0, atol=1e-13)
@@ -142,7 +140,7 @@ def test_eps1_interlacing_scale():
         x = sm.sample_matrix(params, 0)
         v = float(rng.uniform(0.1, 1.5))
         z = complex(rng.uniform(-1.5, 1.5), v)
-        eps1 = sm.correction_terms(x, sm.singular_values(x.scaled, vectors=True), z)[0]
+        eps1 = sm.correction_terms(x.scaled, sm.singular_values(x.scaled, vectors=True), z)[0]
         assert np.abs(eps1).max() <= 2.0 / (m * v)
 
 
@@ -159,8 +157,8 @@ def test_audit_rejects_a_balancing_non_frozen_convention(monkeypatch):
     # instead of the frozen convention; the audit must refuse, not adopt it
     correct = sm.locallaw.correction_terms
 
-    def flipped(x, spec, z, side="row"):
-        e1, e2, e3, r = correct(x, spec, z, side)
+    def flipped(a, spec, z, side="row"):
+        e1, e2, e3, r = correct(a, spec, z, side)
         return e1, -e2, -e3, r
 
     monkeypatch.setattr(sm.locallaw, "correction_terms", flipped)
@@ -173,8 +171,8 @@ def test_audit_rejects_nan_residuals(monkeypatch):
     # NaN > tol is false, so a NaN residual must not slip through as balanced
     correct = sm.locallaw.correction_terms
 
-    def poisoned(x, spec, z, side="row"):
-        e1, e2, e3, r = correct(x, spec, z, side)
+    def poisoned(a, spec, z, side="row"):
+        e1, e2, e3, r = correct(a, spec, z, side)
         return np.full_like(e1, np.nan), e2, e3, r
 
     monkeypatch.setattr(sm.locallaw, "correction_terms", poisoned)
@@ -248,43 +246,46 @@ def test_self_consistent_fixed_point_algebra():
     assert abs(s_fake - S * (1 + y * lam * s_fake)) > 1e-3
 
 
-def ladder_sups(s2, domain, s0, y):
+def ladder_sups(s2, levels, y, mu, grid_u):
     """Per-level sup_u |Lambda_n| by a loop of scalar lambda_n calls (the oracle)."""
-    _, levels = ladder_levels(domain.v0, domain.V, s0)
+    lo, hi = 1.0 - math.sqrt(y) + mu, 1.0 + math.sqrt(y) - mu
     sups = []
     for lvl in levels:
-        lo, hi = _u_band(domain, y, lvl)
         sup = 0.0
-        for u in np.linspace(lo, hi, domain.grid_u):
+        for u in np.linspace(lo, hi, grid_u):
             for sign in (-1.0, 1.0):
                 sup = max(sup, abs(sm.lambda_n(s2, complex(sign * u, lvl), y)))
         sups.append(sup)
     return sups
 
 
-def test_multiscale_ladder_counts():
-    # v0 = 0.1 by choosing a0 accordingly; s0 = 2, V = 1 -> k_v = 4, 5 levels
-    n = 2000
-    a0 = 0.1 * n / math.log(n) ** 4
-    dom = DomainSpec(kind="d_mu", a0=a0, V=1.0, n=n, grid_u=4, grid_v=2, mu=0.2)
+def test_ladder_grid_counts():
+    # v = 0.1, s0 = 2, V = 1 -> k_v = 4, 5 levels
+    zs = sm.ladder_grid(0.1, 1.0, 2.0, y=0.5, mu=0.2, grid_u=4)
+    assert zs.shape == (5, 8)
+    levels = zs[:, 0].imag
+    assert levels[0] == 0.1
+    assert levels[-1] == pytest.approx(1.6, rel=1e-12)
+    assert (zs.imag == levels[:, None]).all()
     params = gaussian_params(60, 120, 0.5, seed=3)
     s2 = sm.singular_values(sm.sample_matrix(params, 0).scaled, vectors=True).singulars ** 2
-    lad = sm.multiscale_ladder(s2, dom, gamma=1e9, s0=2.0, y=0.5)
-    assert lad.k_v == 4
-    assert len(lad.levels) == 5
-    assert lad.levels[0] == pytest.approx(0.1, rel=1e-12)
-    assert lad.levels[-1] == pytest.approx(1.6, rel=1e-12)
-    assert lad.all_pass
-    lad0 = sm.multiscale_ladder(s2, dom, gamma=0.0, s0=2.0, y=0.5)
-    assert not any(lad0.gamma_flags)
-    assert len(lad.gamma_flags) == len(lad.levels)
+    sups = np.abs(sm.lambda_n(s2, zs, 0.5)).max(axis=1)
+    assert (sups <= 1e9).all()
+    assert not (sups <= 0.0).any()
     # a gamma between the smallest and largest per-level sup splits the flags
-    sups = ladder_sups(s2, dom, 2.0, 0.5)
-    gamma = 0.5 * (min(sups) + max(sups))
-    assert min(sups) < gamma < max(sups)
-    lad_mid = sm.multiscale_ladder(s2, dom, gamma=gamma, s0=2.0, y=0.5)
-    assert lad_mid.gamma_flags == tuple(sup <= gamma for sup in sups)
-    assert any(lad_mid.gamma_flags) and not all(lad_mid.gamma_flags)
+    want = ladder_sups(s2, levels, 0.5, 0.2, 4)
+    gamma = 0.5 * (min(want) + max(want))
+    assert min(want) < gamma < max(want)
+    flags = sups <= gamma
+    assert flags.tolist() == [sup <= gamma for sup in want]
+    assert flags.any() and not flags.all()
+    # the first level already at V: one level
+    assert sm.ladder_grid(1.5, 1.0, 2.0, y=0.5, mu=0.2, grid_u=4).shape == (1, 8)
+    for bad in ({"s0": 1.0}, {"v": 0.0}, {"mu": 0.0}, {"mu": 0.8}, {"V": math.nan},
+                {"grid_u": 0}):
+        with pytest.raises(ParameterError):
+            sm.ladder_grid(**{"v": 0.1, "V": 1.0, "s0": 2.0, "y": 0.5, "mu": 0.2,
+                              "grid_u": 4, **bad})
 
 
 def test_locallaw_scan_plumbing():
@@ -332,6 +333,16 @@ def test_locallaw_scan_frees_sample_before_solve(monkeypatch, stride):
     solves = watch_sample_lifetime(monkeypatch, sm.locallaw)
     sm.locallaw_scan(params, dom, replications=2, max_entry_stride=stride)
     assert solves == [(30, 60)] * 2
+
+
+@pytest.mark.parametrize("q", [0, 2])
+def test_tn_moment_study_frees_sample_before_solve(monkeypatch, q):
+    params = gaussian_params(20, 40, 0.5, seed=29)
+    solves = watch_sample_lifetime(monkeypatch, sm.locallaw)
+    res = sm.tn_moment_study(params, ComplexPoint(0.9, 0.5), q=q, replications=1000,
+                             gamma=0.5)
+    assert res.survivors > 0
+    assert solves == [(20, 40)] * 1000
 
 
 def test_tn_moment_study_solves_once_per_replication(monkeypatch):
