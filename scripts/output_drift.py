@@ -59,7 +59,7 @@ CASES = (
     ("tn-moments-low-v-q2", "tn-moments", {**_TN_LOW_V, "q": 2}),
 )
 
-_NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan|Infinity|NaN)")
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 
 
 def run_case(checkout: Path, command: str, cfg: Path, out: Path) -> int:
