@@ -16,7 +16,8 @@ from .locallaw import (AuditResult, CORRECTION_SIGNS, LocalLawReport,
                        TnMomentResult, correction_terms, ladder_grid, lambda_n,
                        locallaw_scan, self_consistency_audit, tn_moment_study)
 from .mc import MCEstimate
-from .model import EntryDistribution, ModelParams, SampledMatrix, sample_matrix
+from .model import (EntryDistribution, ModelParams, SampledMatrix, sample_matrix,
+                    sparse_sample)
 from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
                     d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
                     mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
@@ -43,6 +44,6 @@ __all__ = [
     "mp_cdf", "mp_density", "mp_edges",
     "prior_bound_tn", "resolvent", "resolvent_max_abs",
     "sample_configuration", "sample_matrix", "self_consistency_audit",
-    "singular_values",
+    "singular_values", "sparse_sample",
     "stieltjes_esd", "stieltjes_mp", "tn_moment_study",
 ]

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 invariant violation, 2 bad parameters, 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .configuration import (classify, inadmissibility_probability,
 from .errors import (DegenerateConditioningError, IdentityFailureError,
                      NumericalError, ParameterError)
 from .locallaw import locallaw_scan, self_consistency_audit, tn_moment_study
-from .model import EntryDistribution, ModelParams, sample_matrix
+from .model import EntryDistribution, ModelParams, sample_matrix, sparse_sample
 from .mplaw import (ComplexPoint, DomainSpec, domain_grid, mp_cdf, mp_density,
                     mp_edges)
 from .spectral import esd_histogram, singular_values
@@ -49,13 +50,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_schema(name: str) -> dict:
-    ref = resources.files("sparsemp").joinpath("schemas", name)
-    return json.loads(ref.read_text(encoding="utf-8"))
+@functools.cache
+def _validator(name: str) -> Any:
+    """The validator of one packaged schema, checked against its metaschema
+    once per process; each report is still validated in full."""
+    schema = json.loads(resources.files("sparsemp").joinpath("schemas", name)
+                        .read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _write_json(path: Path, payload: dict, schema: str) -> None:
-    jsonschema.validate(payload, _load_schema(schema))
+    _validator(schema).validate(payload)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
@@ -295,9 +302,7 @@ def cmd_spectrum(cfg: SpectrumConfig, out_dir: Path, workers: int | None) -> int
     params = cfg.model
     y = params.y
     a_edge, b_edge = mp_edges(y)
-    # only the scaled matrix reaches the solver, so the sample's raw draws
-    # and mask are freed before the Gram matrix is solved
-    s = singular_values(sample_matrix(params, cfg.replication).scaled, vectors=False).singulars
+    s = singular_values(sparse_sample(params, cfg.replication), vectors=False).singulars
     _write_csv(out_dir / "singular_values.csv", "index,singular_value",
                [f"{i},{_fmt(v)}" for i, v in enumerate(s)])
 

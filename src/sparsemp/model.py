@@ -6,11 +6,13 @@ The observation matrix is
 
 where the X_jk are i.i.d. mean-zero unit-variance draws from a chosen entry
 distribution and the xi_jk are independent Bernoulli(p) presence indicators.
-Raw draws and the mask are kept alongside the scaled matrix for the tests and
-the benchmark; no library computation reads them.  The
-thresholded-configuration analysis needs only the untruncated magnitudes at
-the present entries; ``present_magnitudes`` reads them from the same streams
-without drawing the whole sample.
+Every spectral campaign takes X from ``sparse_sample`` as a CSR array built
+straight from the two sampling streams, so no dense n x m sample is kept.
+``sample_matrix`` draws the same matrix densely, with its raw draws and mask
+beside it; it is the oracle of the tests and the input of the identity audit.
+The thresholded-configuration analysis needs only the untruncated magnitudes
+at the present entries; ``present_magnitudes`` reads them from the same
+streams without drawing the whole sample.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import DivergentMomentError, ParameterError
 
@@ -232,6 +235,25 @@ def sample_matrix(params: ModelParams, replication: int = 0) -> SampledMatrix:
     mask = _present(mask_rng, params).astype(np.uint8)
     scaled = raw * mask / math.sqrt(params.m * params.p)
     return SampledMatrix(raw=raw, mask=mask, scaled=scaled)
+
+
+def sparse_sample(params: ModelParams, replication: int = 0) -> csr_array:
+    """The scaled sample of ``sample_matrix(params, replication)`` as a CSR array.
+
+    Its entries equal ``sample_matrix(params, replication).scaled`` bit for
+    bit, apart from the sign of the absent zeros, which are not stored.  The
+    mask stream is read first and reduced to the flat indices of the present
+    entries; the raw fill is then gathered at them and scaled in place, so
+    only one n x m fill is alive at a time and no raw, mask or scaled n x m
+    array is kept.
+    """
+    n, m = params.n, params.m
+    raw_rng, mask_rng = _streams(params, replication)
+    flat = np.flatnonzero(_present(mask_rng, params))
+    data = params.dist.sample(raw_rng, (n, m)).ravel()[flat]
+    data /= math.sqrt(m * params.p)
+    indptr = np.searchsorted(flat, np.arange(n + 1) * m)
+    return csr_array((data, flat % m, indptr), shape=(n, m))
 
 
 def present_magnitudes(params: ModelParams,

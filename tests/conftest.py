@@ -2,10 +2,10 @@
 
 import cmath
 import math
-import weakref
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 import sparsemp as sm
 
@@ -54,27 +54,26 @@ def dense_sample(scaled) -> sm.SampledMatrix:
                             mask=np.ones(scaled.shape, dtype=np.uint8), scaled=scaled)
 
 
-def watch_sample_lifetime(monkeypatch, module) -> list:
-    """Wrap ``module``'s ``sample_matrix`` and ``singular_values`` at their use site.
+def watch_solver_input(monkeypatch, module) -> list:
+    """Record the samples ``module`` hands to ``singular_values``, and refuse dense draws.
 
-    Every solve asserts that each sample drawn so far is already freed, so
-    that only its scaled matrix is alive while the Gram matrix is solved.
-    Returns the list that grows by one entry per solve.
+    Every solve asserts that its input is a CSR array, and ``sample_matrix``
+    fails if it is called, from ``sparsemp.model`` or from ``module``'s own
+    binding of it.  Returns the list that grows by one shape per solve.
     """
-    samples, solves = [], []
-    draw, solve = module.sample_matrix, module.singular_values
+    solves = []
+    solve = module.singular_values
 
-    def recorded(*args, **kwargs):
-        x = draw(*args, **kwargs)
-        samples.append(weakref.ref(x))
-        return x
+    def no_dense_draw(*args, **kwargs):
+        raise AssertionError("a dense sample was drawn")
 
-    def checked(*args, **kwargs):
-        assert samples and all(ref() is None for ref in samples)
-        solves.append(args[0].shape)
-        return solve(*args, **kwargs)
+    def checked(a, *args, **kwargs):
+        assert isinstance(a, csr_array)
+        solves.append(a.shape)
+        return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(module, "sample_matrix", recorded)
+    monkeypatch.setattr(sm.model, "sample_matrix", no_dense_draw)
+    monkeypatch.setattr(module, "sample_matrix", no_dense_draw, raising=False)
     monkeypatch.setattr(module, "singular_values", checked)
     return solves
 

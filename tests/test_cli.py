@@ -23,7 +23,7 @@ from sparsemp.cli import (AuditConfig, ConcentrationConfig, ConfigAnalyzeConfig,
 from sparsemp.locallaw import TnMomentResult
 from sparsemp.model import EntryDistribution, ModelParams
 
-from conftest import watch_sample_lifetime
+from conftest import watch_solver_input
 
 
 def write_cfg(tmp_path, name, payload):
@@ -104,8 +104,8 @@ def test_spectrum_rank_deficient_resolution(tmp_path):
     assert np.array_equal(hist[:, 2], np.histogram(np.concatenate([-ref, ref]), edges)[0])
 
 
-def test_spectrum_frees_sample_before_solve(tmp_path, monkeypatch):
-    solves = watch_sample_lifetime(monkeypatch, cli)
+def test_spectrum_solves_csr_sample(tmp_path, monkeypatch):
+    solves = watch_solver_input(monkeypatch, cli)
     cfg = write_cfg(tmp_path, "spec.json", {"model": MODEL})
     assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
     assert solves == [(MODEL["n"], MODEL["m"])]
@@ -312,6 +312,15 @@ def test_tn_moments_degenerate_exit_1(tmp_path):
                "u": 0.9, "v": 0.5, "q": 0, "replications": 1000, "gamma": 0.0}
     cfg = write_cfg(tmp_path, "tn0.json", payload)
     assert main(["tn-moments", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+
+
+def test_tn_moments_long_ladder_exit_2(tmp_path):
+    # s0 just above 1 would need about 3e12 ladder levels from v = 0.5 to V = 10
+    code, err = run_cli(tmp_path, "tn-moments",
+                        {**TN_MOMENTS, "s0": 1.000000000001, "V": 10.0})
+    assert code == 2
+    assert "s0=1.000000000001" in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_config_roundtrips():

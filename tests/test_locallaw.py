@@ -11,7 +11,7 @@ from sparsemp import (CORRECTION_SIGNS, ComplexPoint, DomainSpec,
                       IdentityFailureError, ParameterError)
 
 from conftest import (dense_resolvent, dense_sample, gaussian_params,
-                      watch_sample_lifetime)
+                      watch_solver_input)
 
 
 def oracle_corrections(x, z, p, j, side):
@@ -283,11 +283,41 @@ def test_ladder_grid_counts():
     assert flags.any() and not flags.all()
     # the first level already at V: one level
     assert sm.ladder_grid(1.5, 1.0, 2.0, y=0.5, mu=0.2, grid_u=4).shape == (1, 8)
-    for bad in ({"s0": 1.0}, {"v": 0.0}, {"mu": 0.0}, {"mu": 0.8}, {"V": math.nan},
-                {"grid_u": 0}):
+    for bad in ({"s0": 1.0}, {"s0": math.inf}, {"v": 0.0}, {"mu": 0.0}, {"mu": 0.8},
+                {"V": math.nan}, {"V": math.inf}, {"grid_u": 0}):
         with pytest.raises(ParameterError):
             sm.ladder_grid(**{"v": 0.1, "V": 1.0, "s0": 2.0, "y": 0.5, "mu": 0.2,
                               "grid_u": 4, **bad})
+
+
+def test_ladder_grid_level_count_at_exact_powers():
+    """The level count is the least l with s0^l v >= V, as the plain loop finds it.
+
+    At exact powers V = s0^k v the rounded logarithms of the closed form
+    miss that l by one in 42 of these 450 cases.
+    """
+    def loop_count(v, V, s0):
+        k = 0
+        while s0 ** k * v < V:
+            k += 1
+        return k
+
+    cases = []
+    for b in (2.0, 3.0, 1.5, 10.0, 1.1):
+        for k in range(30):
+            cases += [(b, 1.0 / b ** k, 1.0), (b, 0.1, 0.1 * b ** k), (b, 1.0, b ** k)]
+    for s0, v, V in cases:
+        zs = sm.ladder_grid(v, V, s0, y=0.5, mu=0.2, grid_u=1)
+        assert zs.shape == (loop_count(v, V, s0) + 1, 2), (s0, v, V)
+
+
+def test_ladder_grid_rejects_long_ladder():
+    # 1000 levels are allowed, 1001 are not
+    assert sm.ladder_grid(2.0 ** -999, 1.0, 2.0, y=0.5, mu=0.2, grid_u=1).shape == (1000, 2)
+    for s0, v in ((2.0, 2.0 ** -1000), (1.001, 0.01), (1.000000000001, 0.01),
+                  (1.0 + 2.0 ** -52, 5e-324)):
+        with pytest.raises(ParameterError, match="s0"):
+            sm.ladder_grid(v, 1.0, s0, y=0.5, mu=0.2, grid_u=1)
 
 
 def test_locallaw_scan_plumbing():
@@ -328,19 +358,19 @@ def test_locallaw_scan_max_entry_matches_direct():
 
 
 @pytest.mark.parametrize("stride", [0, 1])
-def test_locallaw_scan_frees_sample_before_solve(monkeypatch, stride):
+def test_locallaw_scan_solves_csr_sample(monkeypatch, stride):
     params = gaussian_params(30, 60, 0.5, seed=19)
     dom = DomainSpec(kind="d_mu", a0=0.3 * 30 / math.log(30) ** 4, V=1.0, n=30,
                      grid_u=2, grid_v=1, mu=0.2)
-    solves = watch_sample_lifetime(monkeypatch, sm.locallaw)
+    solves = watch_solver_input(monkeypatch, sm.locallaw)
     sm.locallaw_scan(params, dom, replications=2, max_entry_stride=stride)
     assert solves == [(30, 60)] * 2
 
 
 @pytest.mark.parametrize("q", [0, 2])
-def test_tn_moment_study_frees_sample_before_solve(monkeypatch, q):
+def test_tn_moment_study_solves_csr_sample(monkeypatch, q):
     params = gaussian_params(20, 40, 0.5, seed=29)
-    solves = watch_sample_lifetime(monkeypatch, sm.locallaw)
+    solves = watch_solver_input(monkeypatch, sm.locallaw)
     res = sm.tn_moment_study(params, ComplexPoint(0.9, 0.5), q=q, replications=1000,
                              gamma=0.5)
     assert res.survivors > 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import csr_array
 
 import sparsemp as sm
 from sparsemp import DivergentMomentError, EntryDistribution, ModelParams, ParameterError
@@ -49,6 +50,37 @@ def test_bit_reproducible_and_streams_independent():
     d = sm.sample_matrix(params9, 5)
     np.testing.assert_array_equal(a.raw, d.raw)
     assert not np.array_equal(a.mask, d.mask)
+
+
+@pytest.mark.parametrize("dist, delta", [
+    (EntryDistribution.gaussian(), 2.0),
+    (EntryDistribution.rademacher(), 2.0),
+    (EntryDistribution.pareto(6.0), 1.0),
+])
+@pytest.mark.parametrize("n, m, p", [
+    (13, 29, 0.2),
+    (13, 29, 1.0),
+    (40, 80, 0.01),   # about e^-0.8 = 45% of the rows empty
+    (17, 17, 0.5),
+    (1, 9, 0.5),
+])
+def test_sparse_sample_bitwise_from_sample(dist, delta, n, m, p):
+    params = ModelParams(n=n, m=m, p=p, dist=dist, delta=delta, seed=77)
+    for rep in (0, 3):
+        x = sm.sample_matrix(params, rep)
+        a = sm.sparse_sample(params, rep)
+        assert isinstance(a, csr_array) and a.shape == (n, m)
+        assert a.has_canonical_format and a.data.dtype == np.float64
+        assert np.array_equal(a.toarray(), x.scaled)
+        # the stored values bit for bit, absent zeros not stored
+        present = x.mask.astype(bool)
+        np.testing.assert_array_equal(a.data.view(np.uint64),
+                                      x.scaled[present].view(np.uint64))
+        np.testing.assert_array_equal(np.diff(a.indptr), present.sum(axis=1))
+        if p == 0.01:
+            assert (np.diff(a.indptr) == 0).sum() >= n // 4
+    with pytest.raises(ParameterError):
+        sm.sparse_sample(params, -1)
 
 
 @pytest.mark.parametrize("dist, delta", [

@@ -88,6 +88,44 @@ def test_singular_values_against_lapack_svd():
             assert np.all(dist <= tol), (name, float((dist / tol).max()))
 
 
+def test_singular_values_csr_against_dense():
+    """A CSR sample has the spectrum of the same sample held densely.
+
+    Values agree to 1e-12 relative above the resolution limit sqrt(r eps)
+    s_max and lie below it on both routes where they do on one.  With
+    vectors, both factors are as orthonormal as the Ward-pruned scan assumes
+    and the scan equals the dense scan of the dense input's resolvent.
+    """
+    eps = np.finfo(float).eps
+    cases = {}
+    for name, params in (("wide", gaussian_params(50, 100, 0.6, seed=5)),
+                         ("empty rows", gaussian_params(40, 80, 0.02, seed=3)),
+                         ("y near 1", gaussian_params(40, 41, 0.5, seed=40)),
+                         ("square", gaussian_params(30, 30, 0.7, seed=30)),
+                         ("n=1", gaussian_params(1, 5, 1.0, seed=1))):
+        a = sm.sparse_sample(params, 2)
+        cases[name] = (a, a.toarray())
+        cases[f"{name}, tall"] = (a.T.tocsr(), a.toarray().T.copy())
+    for name, (csr, dense) in cases.items():
+        r = min(dense.shape)
+        for vectors in (False, True):
+            got = sm.singular_values(csr, vectors).singulars
+            want = sm.singular_values(dense, vectors).singulars
+            limit = math.sqrt(r * eps) * want[0]
+            resolved = want > limit
+            np.testing.assert_allclose(got[resolved], want[resolved], rtol=1e-12, atol=0,
+                                       err_msg=name)
+            assert np.all(got[~resolved] <= limit), name
+        spec = sm.singular_values(csr, vectors=True)
+        for f in (spec.left_vectors, spec.right_vectors):
+            assert np.linalg.norm(f.T @ f - np.eye(r), 2) <= 4 * (r + 2) * eps, name
+        dense_spec = sm.singular_values(dense, vectors=True)
+        for z in (complex(0.9, 0.01), complex(0.3, 0.25), complex(2.5, 5.0)):
+            want = np.abs(sm.resolvent(dense_spec, z)).max()
+            assert sm.resolvent_max_abs(spec, z) == pytest.approx(want, rel=1e-12, abs=0), \
+                (name, z)
+
+
 def test_squared_singular_values_against_svd():
     """The values route: s^2 to 1e-12 of the SVD's, descending, no vectors."""
     zero = sm.singular_values(np.zeros((2, 3)), vectors=False)
