@@ -230,7 +230,7 @@ def ladder_grid(v: float, V: float, s0: float, y: float, mu: float,
     # closed form, then moved onto the least l with s0^l v >= V in floating
     # point, which the rounded logarithms can miss by one at exact powers
     k_v = 0 if v >= V else math.ceil((math.log(V) - math.log(v)) / math.log(s0))
-    if k_v <= _MAX_LADDER_LEVELS:
+    if k_v <= _MAX_LADDER_LEVELS:   # a longer ladder is rejected, and s0 ** k_v may overflow
         while k_v > 0 and s0 ** (k_v - 1) * v >= V:
             k_v -= 1
         while s0 ** k_v * v < V:

@@ -92,7 +92,7 @@ def test_singular_values_csr_against_dense():
     """A CSR sample has the spectrum of the same sample held densely.
 
     Values agree to 1e-12 relative above the resolution limit sqrt(r eps)
-    s_max and lie below it on both routes where they do on one.  With
+    s_max, and the CSR values lie below it where the dense ones do.  With
     vectors, both factors are as orthonormal as the Ward-pruned scan assumes
     and the scan equals the dense scan of the dense input's resolvent.
     """
