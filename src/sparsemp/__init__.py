@@ -17,7 +17,7 @@ from .locallaw import (AuditResult, CORRECTION_SIGNS, LocalLawReport,
                        locallaw_scan, self_consistency_audit, tn_moment_study)
 from .mc import MCEstimate
 from .model import (EntryDistribution, ModelParams, SampledMatrix, sample_matrix,
-                    sparse_sample)
+                    scaled_sample, sparse_sample)
 from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
                     d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
                     mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
@@ -43,7 +43,8 @@ __all__ = [
     "locallaw_scan",
     "mp_cdf", "mp_density", "mp_edges",
     "prior_bound_tn", "resolvent", "resolvent_max_abs",
-    "sample_configuration", "sample_matrix", "self_consistency_audit",
+    "sample_configuration", "sample_matrix", "scaled_sample",
+    "self_consistency_audit",
     "singular_values", "sparse_sample",
     "stieltjes_esd", "stieltjes_mp", "tn_moment_study",
 ]

@@ -30,7 +30,7 @@ from .configuration import (classify, inadmissibility_probability,
 from .errors import (DegenerateConditioningError, IdentityFailureError,
                      NumericalError, ParameterError)
 from .locallaw import locallaw_scan, self_consistency_audit, tn_moment_study
-from .model import EntryDistribution, ModelParams, sample_matrix, sparse_sample
+from .model import EntryDistribution, ModelParams, sample_matrix, scaled_sample
 from .mplaw import (ComplexPoint, DomainSpec, domain_grid, mp_cdf, mp_density,
                     mp_edges)
 from .spectral import esd_histogram, singular_values
@@ -302,7 +302,7 @@ def cmd_spectrum(cfg: SpectrumConfig, out_dir: Path, workers: int | None) -> int
     params = cfg.model
     y = params.y
     a_edge, b_edge = mp_edges(y)
-    s = singular_values(sparse_sample(params, cfg.replication), vectors=False).singulars
+    s = singular_values(scaled_sample(params, cfg.replication), vectors=False).singulars
     _write_csv(out_dir / "singular_values.csv", "index,singular_value",
                [f"{i},{_fmt(v)}" for i, v in enumerate(s)])
 

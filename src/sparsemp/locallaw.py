@@ -28,11 +28,12 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+from scipy.sparse import issparse
 
 from .errors import (DegenerateConditioningError, IdentityFailureError,
                      ParameterError)
 from .mc import map_replications
-from .model import ModelParams, SampledMatrix, sparse_sample
+from .model import ModelParams, SampledMatrix, scaled_sample
 from .mplaw import (D_MU, ComplexPoint, DomainSpec, _as_complex, _check_y,
                     _u_band, domain_grid, gamma_n, stieltjes_mp)
 from .spectral import (SpectrumResult, _diag_factors, resolvent_max_abs,
@@ -213,7 +214,7 @@ def ladder_grid(v: float, V: float, s0: float, y: float, mu: float,
 
     Row l sits at Im z = s0^l v for l = 0..k_v: the first level is v itself
     and k_v is the least l with s0^l v >= V (0 when v >= V).  A ladder of more
-    than 1000 levels is rejected up front.  Each row holds
+    than 1000 levels is rejected before any level is evaluated.  Each row holds
     the ``grid_u`` points of the D_mu u-band 1 - sqrt(y) + mu <= |u| <=
     1 + sqrt(y) - mu in each sign band, negative band first.
     """
@@ -227,18 +228,13 @@ def ladder_grid(v: float, V: float, s0: float, y: float, mu: float,
         raise ParameterError(f"V must be positive and finite, got {V!r}")
     if grid_u < 1:
         raise ParameterError(f"grid_u must be >= 1, got {grid_u!r}")
-    # closed form, then moved onto the least l with s0^l v >= V in floating
-    # point, which the rounded logarithms can miss by one at exact powers
-    k_v = 0 if v >= V else math.ceil((math.log(V) - math.log(v)) / math.log(s0))
-    if k_v <= _MAX_LADDER_LEVELS:   # a longer ladder is rejected, and s0 ** k_v may overflow
-        while k_v > 0 and s0 ** (k_v - 1) * v >= V:
-            k_v -= 1
-        while s0 ** k_v * v < V:
-            k_v += 1
-    if k_v >= _MAX_LADDER_LEVELS:
-        raise ParameterError(
-            f"s0={s0!r} gives more than {_MAX_LADDER_LEVELS} ladder levels "
-            f"from v={v!r} to V={V!r}; raise s0")
+    k_v = 0
+    while s0 ** k_v * v < V:
+        k_v += 1
+        if k_v >= _MAX_LADDER_LEVELS:
+            raise ParameterError(
+                f"s0={s0!r} gives more than {_MAX_LADDER_LEVELS} ladder levels "
+                f"from v={v!r} to V={V!r}; raise s0")
     levels = np.array([s0 ** l * v for l in range(k_v + 1)])
     us = np.linspace(*_u_band(D_MU, mu, y, v), grid_u)
     return np.hstack((-us, us)) + 1j * levels[:, None]
@@ -316,8 +312,8 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
     One spectrum per replication; |Lambda_n| and Gamma_n at every grid point;
     max resolvent entries on every ``max_entry_stride``-th point (0 disables
     the max-entry pass, which then needs no singular vectors).  Each sample
-    reaches the solver as the CSR array of ``sparse_sample``, so no dense
-    n x m sample is drawn.
+    reaches the solver from ``scaled_sample``: as CSR at p <= 1/16, so that
+    no dense n x m sample is drawn, and as the dense scaled array above it.
     """
     if replications < 1:
         raise ParameterError(f"replications must be >= 1, got {replications}")
@@ -331,7 +327,7 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
     me_idx = list(range(0, len(grid), max_entry_stride)) if max_entry_stride else []
 
     def one(rep: int) -> tuple[np.ndarray, list[float]]:
-        spec = singular_values(sparse_sample(params, rep), vectors=bool(me_idx))
+        spec = singular_values(scaled_sample(params, rep), vectors=bool(me_idx))
         lam_abs = np.abs(lambda_n(spec.singulars ** 2, zs, y))
         return lam_abs, [resolvent_max_abs(spec, grid[i]) for i in me_idx]
 
@@ -394,9 +390,9 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
     up to V, checking sup_u |Lambda_n| <= gamma over the D_mu u-band at each
     level (``ladder_grid``, built once per study).  Reported against the
     envelope ((1/(nv) + 1/(np)) log n)^q at C = 1, together with the fitted
-    C.  Each sample reaches the solver as the CSR array of ``sparse_sample``;
-    only a replication that passes the ladder at q > 0 densifies it, for the
-    correction terms.
+    C.  Each sample reaches the solver from ``scaled_sample``, as CSR at
+    p <= 1/16; only a replication that passes the ladder at q > 0 densifies
+    a CSR sample, for the correction terms.
     """
     if q not in (0, 2, 4):
         raise ParameterError(f"q must be one of 0, 2, 4, got {q!r}")
@@ -411,13 +407,14 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
     zs = ladder_grid(v, V, s0, y, mu, grid_u)
 
     def one(rep: int) -> float | None:
-        a = sparse_sample(params, rep)
+        a = scaled_sample(params, rep)
         spec = singular_values(a, vectors=q > 0)
         if not (np.abs(lambda_n(spec.singulars ** 2, zs, y)).max(axis=1) <= gamma).all():
             return None
         if q == 0:
             return 1.0
-        return abs(_t_n(*correction_terms(a.toarray(), spec, zc))) ** q
+        dense = a.toarray() if issparse(a) else a
+        return abs(_t_n(*correction_terms(dense, spec, zc))) ** q
 
     values = [val for val in map_replications(one, replications, workers) if val is not None]
     if not values:

@@ -6,10 +6,12 @@ The observation matrix is
 
 where the X_jk are i.i.d. mean-zero unit-variance draws from a chosen entry
 distribution and the xi_jk are independent Bernoulli(p) presence indicators.
-Every spectral campaign takes X from ``sparse_sample`` as a CSR array built
-straight from the two sampling streams, so no dense n x m sample is kept.
-``sample_matrix`` draws the same matrix densely, with its raw draws and mask
-beside it; it is the oracle of the tests and the input of the identity audit.
+Every spectral campaign takes X from ``scaled_sample``: at p <= 1/16 the CSR
+array of ``sparse_sample``, built straight from the two sampling streams so
+that no dense n x m sample is kept, and at a denser p the dense scaled array
+of ``sample_matrix``, which draws the same matrix with its raw draws and mask
+beside it.  ``sample_matrix`` is also the oracle of the tests and the input
+of the identity audit.
 The thresholded-configuration analysis needs only the untruncated magnitudes
 at the present entries; ``present_magnitudes`` reads them from the same
 streams without drawing the whole sample.
@@ -25,6 +27,12 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import DivergentMomentError, ParameterError
+
+# densest p at which ``scaled_sample`` returns CSR: the sparse Gram product
+# takes about n^2 m p^2 scalar steps against n^2 m / 2 flops of BLAS, and with
+# one BLAS thread the two routes took equal time near p = 1/16 at both
+# 1000 x 2000 and 2000 x 4000
+_CSR_MAX_P = 1 / 16
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
@@ -254,6 +262,21 @@ def sparse_sample(params: ModelParams, replication: int = 0) -> csr_array:
     data /= math.sqrt(m * params.p)
     indptr = np.searchsorted(flat, np.arange(n + 1) * m)
     return csr_array((data, flat % m, indptr), shape=(n, m))
+
+
+def scaled_sample(params: ModelParams, replication: int = 0) -> "np.ndarray | csr_array":
+    """The scaled sample of one draw in the form its spectrum is cheapest from.
+
+    ``sparse_sample`` at p <= 1/16, else ``sample_matrix(...).scaled``, whose
+    raw draws and mask are freed on return.  Above 1/16 the sparse Gram
+    product is slower than the dense one, and near p = 1 the CSR sample,
+    16 bytes per stored entry, is also larger: at p = 1, n = 2000, m = 4000
+    with one BLAS thread a ``spectrum`` run took 43-49 s and 371 MiB peak
+    from CSR against 1.4-1.7 s and 196 MiB dense.
+    """
+    if params.p <= _CSR_MAX_P:
+        return sparse_sample(params, replication)
+    return sample_matrix(params, replication).scaled
 
 
 def present_magnitudes(params: ModelParams,

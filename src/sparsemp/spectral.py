@@ -49,9 +49,10 @@ def singular_values(a: "np.ndarray | sparray", vectors: bool) -> SpectrumResult:
     """Singular values of the scaled matrix ``a`` from its smaller Gram matrix,
     with the singular vectors too when ``vectors`` is true.
 
-    ``a`` is a dense array or a scipy sparse array; the campaigns pass the CSR
-    array of ``model.sparse_sample``.  A sparse Gram product is densified
-    before the solve, and W = a^T U / s is the same expression for both.  At
+    ``a`` is a dense array or a scipy sparse array; the campaigns pass
+    ``model.scaled_sample``, which is CSR at p <= 1/16.  A sparse Gram
+    product is densified before the solve, and W = a^T U / s is the same
+    expression for both.  At
     2000 x 4000 with np = 50 and one BLAS thread the CSR product took
     0.14-0.19 s against 0.27-0.31 s for the dense one, 1.3e-15 apart.
 

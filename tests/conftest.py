@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -55,25 +56,31 @@ def dense_sample(scaled) -> sm.SampledMatrix:
 
 
 def watch_solver_input(monkeypatch, module) -> list:
-    """Record the samples ``module`` hands to ``singular_values``, and refuse dense draws.
+    """Record what ``module`` hands to ``singular_values``, and the dense draws.
 
-    Every solve asserts that its input is a CSR array, and ``sample_matrix``
-    fails if it is called, from ``sparsemp.model`` or from ``module``'s own
-    binding of it.  Returns the list that grows by one shape per solve.
+    ``sparsemp.model.sample_matrix`` is wrapped so that every dense draw is
+    seen.  A CSR input asserts that no dense sample was drawn at all; a dense
+    input asserts that every sample drawn so far is already freed, so that
+    only its scaled matrix is alive while the Gram matrix is solved.  Returns
+    the list that grows by one (input type, shape) per solve.
     """
-    solves = []
-    solve = module.singular_values
+    samples, solves = [], []
+    draw, solve = sm.model.sample_matrix, module.singular_values
 
-    def no_dense_draw(*args, **kwargs):
-        raise AssertionError("a dense sample was drawn")
+    def recorded(*args, **kwargs):
+        x = draw(*args, **kwargs)
+        samples.append(weakref.ref(x))
+        return x
 
     def checked(a, *args, **kwargs):
-        assert isinstance(a, csr_array)
-        solves.append(a.shape)
+        if isinstance(a, csr_array):
+            assert not samples
+        else:
+            assert samples and all(ref() is None for ref in samples)
+        solves.append((type(a), a.shape))
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(sm.model, "sample_matrix", no_dense_draw)
-    monkeypatch.setattr(module, "sample_matrix", no_dense_draw, raising=False)
+    monkeypatch.setattr(sm.model, "sample_matrix", recorded)
     monkeypatch.setattr(module, "singular_values", checked)
     return solves
 

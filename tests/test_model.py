@@ -83,6 +83,19 @@ def test_sparse_sample_bitwise_from_sample(dist, delta, n, m, p):
         sm.sparse_sample(params, -1)
 
 
+@pytest.mark.parametrize("p, route", [(1 / 16, csr_array),
+                                      (math.nextafter(1 / 16, 1.0), np.ndarray),
+                                      (1.0, np.ndarray)])
+def test_scaled_sample_route_follows_p(p, route):
+    # CSR up to p = 1/16, where the two Gram products take equal time
+    params = ModelParams(n=30, m=60, p=p, dist=EntryDistribution.gaussian(),
+                         delta=2.0, seed=5)
+    a = sm.scaled_sample(params, 2)
+    assert type(a) is route
+    dense = a.toarray() if route is csr_array else a
+    assert np.array_equal(dense, sm.sample_matrix(params, 2).scaled)
+
+
 @pytest.mark.parametrize("dist, delta", [
     (EntryDistribution.gaussian(), 2.0),
     (EntryDistribution.rademacher(), 2.0),
