@@ -30,7 +30,7 @@ from .errors import DivergentMomentError, ParameterError
 
 # densest p at which ``scaled_sample`` returns CSR: the sparse Gram product
 # takes about n^2 m p^2 scalar steps against n^2 m / 2 flops of BLAS, and with
-# one BLAS thread the two routes took equal time near p = 1/16 at both
+# one BLAS thread the two routes crossed between p = 0.05 and 0.075 at both
 # 1000 x 2000 and 2000 x 4000
 _CSR_MAX_P = 1 / 16
 
