@@ -7,9 +7,15 @@ PARENT_DIR and CHANGE_DIR are two source checkouts (a git clone or a
 sparsemp.cli COMMAND --config CFG --out-dir OUT --workers 1`` once per
 checkout, with that checkout's ``src/`` on PYTHONPATH and the BLAS pinned to
 one thread.  The cases are the six payloads of acceptance criterion 10
-(``tests/test_acceptance.py``) plus ``tn-moments`` at q = 2 and at a ladder
-whose first level v = 0.01 is not a0 log^4(n)/n round-tripped exactly
-(n = 200), at q = 0 and q = 2.
+(``tests/test_acceptance.py``) plus:
+
+- ``tn-moments`` at q = 2, and at a ladder whose first level v = 0.01 is not
+  a0 log^4(n)/n round-tripped exactly (n = 200), at q = 0 and q = 2;
+- ``locallaw`` on a d_a0 domain whose u-band reaches u = 0 (y = 0.5, V = 1:
+  the lower edge max(1 - sqrt(y) - v, 0) is 0 for v >= 1 - sqrt(y)), so the
+  grid carries u = -0.0;
+- ``locallaw`` at p = 1/20, where the samples reach the solver as CSR (every
+  other payload samples at p = 0.5 or 1, on the dense route).
 
 For each output file it prints ``identical`` when the bytes agree, and
 otherwise the largest relative difference |a - b| / max(|a|, |b|) over the
@@ -45,6 +51,17 @@ CASES = (
         "domain": {"kind": "d_mu", "mu": 0.2, "a0": 0.05, "V": 1.0,
                    "grid_u": 2, "grid_v": 2},
         "replications": 2, "C0": 1.0, "max_entry_stride": 1}),
+    ("locallaw-d-a0", "locallaw", {
+        "sweep": {"dist": "gaussian", "delta": 2.0, "seed": 5,
+                  "n_values": [60], "y": 0.5, "p": 0.5},
+        "domain": {"kind": "d_a0", "a0": 0.05, "V": 1.0, "grid_u": 3, "grid_v": 3},
+        "replications": 2, "C0": 1.0, "max_entry_stride": 2}),
+    ("locallaw-csr", "locallaw", {
+        "sweep": {"dist": "gaussian", "delta": 2.0, "seed": 7,
+                  "n_values": [200], "y": 0.5, "np_product": 10.0},
+        "domain": {"kind": "d_mu", "mu": 0.2, "a0": 0.05, "V": 1.0,
+                   "grid_u": 2, "grid_v": 2},
+        "replications": 2, "C0": 1.0, "max_entry_stride": 3}),
     ("config-analyze", "config-analyze", {
         "sweep": {"dist": "pareto", "alpha": 6.0, "delta": 1.0, "seed": 9,
                   "n_values": [30], "y": 0.5, "np_product": 15.0},

@@ -18,16 +18,16 @@ from .locallaw import (AuditResult, CORRECTION_SIGNS, LocalLawReport,
 from .mc import MCEstimate
 from .model import (EntryDistribution, ModelParams, SampledMatrix, sample_matrix,
                     scaled_sample, sparse_sample)
-from .mplaw import (ComplexPoint, DomainSpec, b_function, d_function,
-                    d_n_function, domain_grid, gamma_n, gamma_n_theorem1,
-                    mp_cdf, mp_density, mp_edges, prior_bound_tn, stieltjes_mp)
+from .mplaw import (DomainSpec, b_function, d_function, d_n_function,
+                    domain_grid, gamma_n, gamma_n_theorem1, mp_cdf, mp_density,
+                    mp_edges, prior_bound_tn, stieltjes_mp)
 from .spectral import (SpectrumResult, resolvent, resolvent_max_abs,
                        singular_values, stieltjes_esd)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditResult", "ComplexPoint", "ConcentrationInput",
+    "AuditResult", "ConcentrationInput",
     "ConcentrationReport", "ConfigurationMatrix", "ConfigurationReport",
     "CORRECTION_SIGNS", "DegenerateConditioningError",
     "DivergentMomentError", "DomainSpec", "EntryDistribution",

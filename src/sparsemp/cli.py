@@ -31,8 +31,7 @@ from .errors import (DegenerateConditioningError, IdentityFailureError,
                      NumericalError, ParameterError)
 from .locallaw import locallaw_scan, self_consistency_audit, tn_moment_study
 from .model import EntryDistribution, ModelParams, sample_matrix, scaled_sample
-from .mplaw import (ComplexPoint, DomainSpec, domain_grid, mp_cdf, mp_density,
-                    mp_edges)
+from .mplaw import DomainSpec, domain_grid, mp_cdf, mp_density, mp_edges
 from .spectral import esd_histogram, singular_values
 
 EXIT_OK = 0
@@ -198,6 +197,12 @@ class ConcentrationConfig:
         raise ParameterError(f"unknown matrix_kind {self.matrix_kind!r}")
 
 
+def _check_v(v: float) -> None:
+    """Reject a spectral parameter off the upper half-plane before any sample is drawn."""
+    if not (v > 0.0):   # also rejects NaN
+        raise ParameterError(f"config key 'v' must be positive, got {v!r}")
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     model: ModelParams
@@ -207,6 +212,7 @@ class AuditConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        _check_v(self.v)
         if not (0.0 < self.tolerance < math.inf):   # also rejects NaN
             raise ParameterError(
                 f"config key 'tolerance' must be positive and finite, got {self.tolerance!r}")
@@ -224,6 +230,9 @@ class TnMomentsConfig:
     mu: float = 0.2
     V: float = 1.0
     grid_u: int = 8
+
+    def __post_init__(self):
+        _check_v(self.v)
 
 
 def _load(cls, raw: Any, where: str = ""):
@@ -357,9 +366,9 @@ def cmd_locallaw(cfg: LocalLawConfig, out_dir: Path, workers: int | None) -> int
                                max_entry_stride=cfg.max_entry_stride, workers=workers)
         _write_json(out_dir / f"locallaw_n{n}.json", report.to_dict(),
                     schema="locallaw_report.schema.json")
-        points = [",".join([_fmt(pt.u), _fmt(pt.v), _fmt(ps.lambda_abs), _fmt(ps.gamma),
+        points = [",".join([_fmt(z.real), _fmt(z.imag), _fmt(ps.lambda_abs), _fmt(ps.gamma),
                             _fmt(ps.ratio), "" if ps.max_entry is None else _fmt(ps.max_entry)])
-                  for pt, ps in zip(report.grid, report.per_point)]
+                  for z, ps in zip(report.grid.tolist(), report.per_point)]
         _write_csv(out_dir / f"locallaw_points_n{n}.csv",
                    "u,v,lambda_abs,gamma,ratio,max_entry", points)
         summary_rows.append(f"{n},{_fmt(report.sup_ratio)},{_fmt(report.fitted_k)}")
@@ -412,7 +421,7 @@ def cmd_concentration(cfg: ConcentrationConfig, out_dir: Path,
 def cmd_audit(cfg: AuditConfig, out_dir: Path, workers: int | None) -> int:
     params = cfg.model
     x = sample_matrix(params, cfg.replication)
-    audit = self_consistency_audit(x, ComplexPoint(cfg.u, cfg.v), tol=cfg.tolerance)
+    audit = self_consistency_audit(x, complex(cfg.u, cfg.v), tol=cfg.tolerance)
     _write_json(out_dir / "audit_report.json", {
         "schema_version": 1,
         "params": params.to_dict(),
@@ -430,7 +439,7 @@ def cmd_audit(cfg: AuditConfig, out_dir: Path, workers: int | None) -> int:
 
 
 def cmd_tn_moments(cfg: TnMomentsConfig, out_dir: Path, workers: int | None) -> int:
-    result = tn_moment_study(cfg.model, ComplexPoint(cfg.u, cfg.v), cfg.q,
+    result = tn_moment_study(cfg.model, complex(cfg.u, cfg.v), cfg.q,
                              cfg.replications, gamma=cfg.gamma, s0=cfg.s0,
                              mu=cfg.mu, V=cfg.V, grid_u=cfg.grid_u, workers=workers)
     _write_json(out_dir / "tn_moments.json", result.to_dict(),

@@ -34,8 +34,8 @@ from .errors import (DegenerateConditioningError, IdentityFailureError,
                      ParameterError)
 from .mc import map_replications
 from .model import ModelParams, SampledMatrix, scaled_sample
-from .mplaw import (D_MU, ComplexPoint, DomainSpec, _as_complex, _check_y,
-                    _u_band, domain_grid, gamma_n, stieltjes_mp)
+from .mplaw import (D_MU, DomainSpec, _as_complex, _band_rows, _check_y,
+                    domain_grid, gamma_n, stieltjes_mp)
 from .spectral import (SpectrumResult, _diag_factors, resolvent_max_abs,
                        singular_values, stieltjes_esd)
 
@@ -62,8 +62,7 @@ _MAX_LADDER_LEVELS = 1000
 _SCHUR_BLOCK = 256
 
 
-def lambda_n(s2: np.ndarray, z: "ComplexPoint | complex | np.ndarray",
-             y: float) -> "complex | np.ndarray":
+def lambda_n(s2: np.ndarray, z: "complex | np.ndarray", y: float) -> "complex | np.ndarray":
     """Lambda_n(z) = s_n(z) - S_y(z) from the squared singular values s2.
 
     Takes a scalar z or an array of z and returns the same shape.
@@ -71,7 +70,7 @@ def lambda_n(s2: np.ndarray, z: "ComplexPoint | complex | np.ndarray",
     return stieltjes_esd(s2, z) - stieltjes_mp(z, y)
 
 
-def correction_terms(a: np.ndarray, spec: SpectrumResult, z: "ComplexPoint | complex",
+def correction_terms(a: np.ndarray, spec: SpectrumResult, z: complex,
                      side: str = ROW) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Correction terms eps_1..3 and the diagonal R entry for every index of a side.
 
@@ -169,8 +168,7 @@ class AuditResult:
         return float(self.residuals.max())
 
 
-def self_consistency_audit(x: SampledMatrix, z: "ComplexPoint | complex",
-                           tol: float = 1e-8) -> AuditResult:
+def self_consistency_audit(x: SampledMatrix, z: complex, tol: float = 1e-8) -> AuditResult:
     """Audit the exact diagonal identity for every row index, at y = n/m.
 
     The identity must balance to ``tol`` under the frozen CORRECTION_SIGNS;
@@ -214,9 +212,10 @@ def ladder_grid(v: float, V: float, s0: float, y: float, mu: float,
 
     Row l sits at Im z = s0^l v for l = 0..k_v: the first level is v itself
     and k_v is the least l with s0^l v >= V (0 when v >= V).  A ladder of more
-    than 1000 levels is rejected before any level is evaluated.  Each row holds
-    the ``grid_u`` points of the D_mu u-band 1 - sqrt(y) + mu <= |u| <=
-    1 + sqrt(y) - mu in each sign band, negative band first.
+    than 1000 levels is rejected before any level is evaluated, and so is an
+    s0 whose powers overflow on the way to V.  Each row holds the ``grid_u``
+    points of the D_mu u-band 1 - sqrt(y) + mu <= |u| <= 1 + sqrt(y) - mu in
+    each sign band, in the row layout of ``domain_grid``.
     """
     if not (1.0 < s0 < math.inf):
         raise ParameterError(f"s0 must exceed 1 and be finite, got {s0!r}")
@@ -229,15 +228,20 @@ def ladder_grid(v: float, V: float, s0: float, y: float, mu: float,
     if grid_u < 1:
         raise ParameterError(f"grid_u must be >= 1, got {grid_u!r}")
     k_v = 0
-    while s0 ** k_v * v < V:
-        k_v += 1
-        if k_v >= _MAX_LADDER_LEVELS:
-            raise ParameterError(
-                f"s0={s0!r} gives more than {_MAX_LADDER_LEVELS} ladder levels "
-                f"from v={v!r} to V={V!r}; raise s0")
-    levels = np.array([s0 ** l * v for l in range(k_v + 1)])
-    us = np.linspace(*_u_band(D_MU, mu, y, v), grid_u)
-    return np.hstack((-us, us)) + 1j * levels[:, None]
+    try:
+        while s0 ** k_v * v < V:
+            k_v += 1
+            if k_v >= _MAX_LADDER_LEVELS:
+                raise ParameterError(
+                    f"s0={s0!r} gives more than {_MAX_LADDER_LEVELS} ladder levels "
+                    f"from v={v!r} to V={V!r}; raise s0")
+        levels = np.array([s0 ** l * v for l in range(k_v + 1)])
+    except OverflowError:
+        levels = np.array([math.inf])
+    if not math.isfinite(levels[-1]):
+        raise ParameterError(f"s0={s0!r} overflows the ladder levels from v={v!r} "
+                             f"to V={V!r}; lower s0")
+    return _band_rows(D_MU, mu, y, levels, grid_u)
 
 
 @dataclass(frozen=True)
@@ -256,7 +260,7 @@ class LocalLawReport:
 
     params: ModelParams
     C0: float
-    grid: tuple[ComplexPoint, ...]
+    grid: np.ndarray   # complex, one z per point of ``per_point``
     per_point: tuple[PointStats, ...]
     replications: int
     sup_ratio: float
@@ -283,7 +287,7 @@ class LocalLawReport:
             "params": self.params.to_dict(),
             "C0": self.C0,
             "replications": self.replications,
-            "grid": [{"u": pt.u, "v": pt.v} for pt in self.grid],
+            "grid": [{"u": z.real, "v": z.imag} for z in self.grid.tolist()],
             "per_point": [
                 {
                     "lambda_abs": ps.lambda_abs,
@@ -321,14 +325,13 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
         raise ParameterError(f"max_entry_stride must be >= 0, got {max_entry_stride}")
     y = params.y
     _check_y(y)
-    grid = domain_grid(domain, y)
-    zs = np.array([pt.z for pt in grid])
-    gammas = np.array([gamma_n(params.n, params.p, pt.v, C0) for pt in grid])
-    me_idx = list(range(0, len(grid), max_entry_stride)) if max_entry_stride else []
+    grid = domain_grid(domain, y).ravel()
+    gammas = gamma_n(params.n, params.p, grid.imag, C0)
+    me_idx = list(range(0, grid.size, max_entry_stride)) if max_entry_stride else []
 
     def one(rep: int) -> tuple[np.ndarray, list[float]]:
         spec = singular_values(scaled_sample(params, rep), vectors=bool(me_idx))
-        lam_abs = np.abs(lambda_n(spec.singulars ** 2, zs, y))
+        lam_abs = np.abs(lambda_n(spec.singulars ** 2, grid, y))
         return lam_abs, [resolvent_max_abs(spec, grid[i]) for i in me_idx]
 
     results = map_replications(one, replications, workers)
@@ -340,12 +343,12 @@ def locallaw_scan(params: ModelParams, domain: DomainSpec, replications: int,
     me_sup = dict(zip(me_idx, np.max([me for _, me in results], axis=0).tolist()))
     per_point = tuple(PointStats(lambda_abs=float(lam_sup[i]), gamma=float(gammas[i]),
                                  ratio=float(ratio_sup[i]), max_entry=me_sup.get(i))
-                      for i in range(len(grid)))
+                      for i in range(grid.size))
     sup_per_rep = tuple(float(v) for v in lam_matrix.max(axis=1))
     return LocalLawReport(
         params=params,
         C0=float(C0),
-        grid=tuple(grid),
+        grid=grid,
         per_point=per_point,
         replications=replications,
         sup_ratio=sup_ratio,
@@ -380,7 +383,7 @@ class TnMomentResult:
         }
 
 
-def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
+def tn_moment_study(params: ModelParams, z: complex, q: int,
                     replications: int, gamma: float = 0.5, s0: float = 2.0,
                     mu: float = 0.2, V: float = 1.0, grid_u: int = 8,
                     workers: int | None = None) -> TnMomentResult:
@@ -405,6 +408,7 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
     _check_y(y)
     v = zc.imag
     zs = ladder_grid(v, V, s0, y, mu, grid_u)
+    scale = gamma_n(params.n, params.p, v, 1.0)   # the envelope's base at C = 1
 
     def one(rep: int) -> float | None:
         a = scaled_sample(params, rep)
@@ -424,7 +428,6 @@ def tn_moment_study(params: ModelParams, z: "ComplexPoint | complex", q: int,
     arr = np.asarray(values)
     estimate = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else None
-    scale = (1.0 / (params.n * v) + 1.0 / (params.n * params.p)) * math.log(params.n)
     envelope = scale ** q
     fitted_c = estimate ** (1.0 / q) / scale if q > 0 else 0.0
     return TnMomentResult(q=q, estimate=estimate, stderr=stderr, survivors=arr.size,

@@ -19,28 +19,14 @@ D_MU = "d_mu"
 D_A0 = "d_a0"
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point z = u + iv strictly in the upper half-plane."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        if not (self.v > 0.0):
-            raise ParameterError(f"spectral parameter needs v > 0, got v={self.v!r}")
-
-    @property
-    def z(self) -> complex:
-        return complex(self.u, self.v)
-
-
-def _as_complex(z: "ComplexPoint | complex | np.ndarray") -> "complex | np.ndarray":
+def _as_complex(z: "complex | np.ndarray") -> "complex | np.ndarray":
     """z as a complex number, or as a complex array when z is an array.
 
-    Every element must have a positive imaginary part.
+    Every element must have a positive imaginary part: this is the one check
+    of the spectral parameter, which is a Python complex or a complex array
+    everywhere in the library.
     """
-    zc = np.asarray(z.z if isinstance(z, ComplexPoint) else z, dtype=np.complex128)
+    zc = np.asarray(z, dtype=np.complex128)
     if not (zc.imag.min(initial=math.inf) > 0.0):
         raise ParameterError("spectral parameter must have positive imaginary part, "
                              f"got {complex(zc.flat[zc.imag.argmin()])}")
@@ -60,8 +46,7 @@ def mp_edges(y: float) -> tuple[float, float]:
     return 1.0 - r, 1.0 + r
 
 
-def _w_and_b(z: "ComplexPoint | complex | np.ndarray",
-             y: float) -> tuple[np.ndarray, np.ndarray]:
+def _w_and_b(z: "complex | np.ndarray", y: float) -> tuple[np.ndarray, np.ndarray]:
     """w = z - (1-y)/z and b = sqrt(w - 2 sqrt y) sqrt(w + 2 sqrt y), elementwise.
 
     For Im z > 0 also Im w > 0, so both principal roots lie in the first
@@ -81,8 +66,7 @@ def _like(z, out: np.ndarray) -> "complex | np.ndarray":
     return out if np.ndim(z) else out.item()
 
 
-def stieltjes_mp(z: "ComplexPoint | complex | np.ndarray",
-                 y: float) -> "complex | np.ndarray":
+def stieltjes_mp(z: "complex | np.ndarray", y: float) -> "complex | np.ndarray":
     """Stieltjes transform S_y(z) of the symmetrized Marchenko-Pastur law.
 
     S is the root with positive imaginary part (the Herglotz branch) of
@@ -94,8 +78,7 @@ def stieltjes_mp(z: "ComplexPoint | complex | np.ndarray",
     return _like(z, -2.0 / (w + b))
 
 
-def b_function(z: "ComplexPoint | complex | np.ndarray",
-               y: float) -> "complex | np.ndarray":
+def b_function(z: "complex | np.ndarray", y: float) -> "complex | np.ndarray":
     """b(z) = z - (1-y)/z + 2*y*S_y(z)  (equivalently -1/S + y*S).
 
     Equal to sqrt(w^2 - 4y) on the Herglotz branch; scalar or array z.
@@ -143,21 +126,24 @@ def mp_cdf(x: "float | np.ndarray", y: float) -> "float | np.ndarray":
     return _like(x, out)
 
 
-def gamma_n(n: int, p: float, v: float, C0: float) -> float:
+def gamma_n(n: int, p: float, v: "float | np.ndarray", C0: float) -> "float | np.ndarray":
     """Simplified error envelope Gamma_n = C0 * log(n) * (1/(n v) + 1/(n p)).
 
-    This is the form valid inside D_mu, where |b(z)| is bounded below.
+    This is the form valid inside D_mu, where |b(z)| is bounded below.  Takes
+    a scalar v or an array of v and returns the same shape; each element is
+    the scalar call's value bit for bit.
     """
     if not isinstance(n, int) or n < 2:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
-    if not (p > 0.0 and v > 0.0):
+    vs = np.asarray(v, dtype=float)
+    if not (p > 0.0 and vs.min(initial=math.inf) > 0.0):   # NaN fails too
         raise ParameterError(f"p and v must be positive, got p={p!r}, v={v!r}")
     if C0 < 0.0:
         raise ParameterError(f"C0 must be nonnegative, got {C0!r}")
-    return C0 * math.log(n) * (1.0 / (n * v) + 1.0 / (n * p))
+    return _like(v, C0 * math.log(n) * (1.0 / (n * vs) + 1.0 / (n * p)))
 
 
-def gamma_n_theorem1(z: "ComplexPoint | complex", n: int, p: float, C0: float, y: float) -> float:
+def gamma_n_theorem1(z: complex, n: int, p: float, C0: float, y: float) -> float:
     """Envelope with the min term: 2 C0 log(n) (1/(nv) + min(1/(np|b|), 1/sqrt(np)))."""
     if not isinstance(n, int) or n < 2:
         raise ParameterError(f"n must be an integer >= 2, got {n!r}")
@@ -173,13 +159,13 @@ def gamma_n_theorem1(z: "ComplexPoint | complex", n: int, p: float, C0: float, y
     return 2.0 * C0 * math.log(n) * (1.0 / (n * v) + min_term)
 
 
-def d_function(z: "ComplexPoint | complex", y: float) -> float:
+def d_function(z: complex, y: float) -> float:
     """d(z) = Im b(z) / |b(z)|."""
     b = b_function(z, y)
     return b.imag / abs(b)
 
 
-def d_n_function(z: "ComplexPoint | complex", n: int, p: float, y: float) -> float:
+def d_n_function(z: complex, n: int, p: float, y: float) -> float:
     """d_n(z) = (1/(nv)) (d(z) + log(n)/(nv |b|)) + 1/(np |b|)."""
     zc = _as_complex(z)
     v = zc.imag
@@ -189,7 +175,7 @@ def d_n_function(z: "ComplexPoint | complex", n: int, p: float, y: float) -> flo
     return (d + math.log(n) / (n * v * absb)) / (n * v) + 1.0 / (n * p * absb)
 
 
-def prior_bound_tn(z: "ComplexPoint | complex", n: int, p: float, C0: float, y: float) -> float:
+def prior_bound_tn(z: complex, n: int, p: float, C0: float, y: float) -> float:
     """Two-branch deterministic bound on |Lambda_n|, evaluated literally.
 
     The branch indicator compares |b(z)| against the min-form envelope; the
@@ -248,25 +234,34 @@ class DomainSpec:
         return self.a0 * math.log(self.n) ** 4 / self.n
 
 
-def _u_band(kind: str, mu: float, y: float, v: float) -> tuple[float, float]:
+def _band_rows(kind: str, mu: float, y: float, vs: np.ndarray, grid_u: int) -> np.ndarray:
+    """One row of z per v in ``vs``: the ``grid_u`` points of the u-band at that v
+    in each sign band, negative band first and u ascending within each band.
+
+    The real and imaginary parts are assigned separately, so a band edge at
+    u = 0 stays -0.0 in the negative band; ``-u + 1j * v`` would turn it into 0.0.
+    """
     r = math.sqrt(y)
     if kind == D_MU:
-        lo, hi = 1.0 - r + mu, 1.0 + r - mu
+        lo, hi = np.full_like(vs, 1.0 - r + mu), np.full_like(vs, 1.0 + r - mu)
     else:
-        lo, hi = max(1.0 - r - v, 0.0), 1.0 + r + v
-    if lo > hi:
-        raise ParameterError(
-            f"empty u-band for kind={kind}, mu={mu}, y={y}: [{lo}, {hi}]"
-        )
-    return lo, hi
+        lo, hi = np.maximum(1.0 - r - vs, 0.0), 1.0 + r + vs
+    if (lo > hi).any():
+        raise ParameterError(f"empty u-band for kind={kind}, mu={mu}, y={y}: [{lo[0]}, {hi[0]}]")
+    us = np.linspace(lo, hi, grid_u, axis=1)
+    rows = np.empty((vs.size, 2 * grid_u), dtype=np.complex128)
+    rows.real[:, :grid_u] = -us[:, ::-1]
+    rows.real[:, grid_u:] = us
+    rows.imag = vs[:, None]
+    return rows
 
 
-def domain_grid(spec: DomainSpec, y: float) -> list[ComplexPoint]:
-    """Grid points covering both sign bands of the domain.
+def domain_grid(spec: DomainSpec, y: float) -> np.ndarray:
+    """The domain's grid of z, one row per v: shape (grid_v, 2 grid_u).
 
-    v is log-spaced on [v0, V]; u is uniform within each band.  Points are
-    emitted v-ascending, negative band before positive, u ascending, which
-    fixes a deterministic serialization order.
+    v is log-spaced on [v0, V] and ascends down the rows; u is uniform within
+    each band, negative band first, u ascending.  ``ravel()`` gives the
+    deterministic serialization order of the local-law reports.
     """
     _check_y(y)
     v0 = spec.v0
@@ -275,13 +270,5 @@ def domain_grid(spec: DomainSpec, y: float) -> list[ComplexPoint]:
             f"v0 = a0 log^4(n)/n = {v0:.6g} exceeds V = {spec.V}; "
             "reduce a0 or raise V for this n"
         )
-    vs = np.geomspace(v0, spec.V, spec.grid_v)
-    points: list[ComplexPoint] = []
-    for v in vs:
-        lo, hi = _u_band(spec.kind, spec.mu, y, float(v))
-        us = np.linspace(lo, hi, spec.grid_u)
-        for u in us[::-1]:
-            points.append(ComplexPoint(-float(u), float(v)))
-        for u in us:
-            points.append(ComplexPoint(float(u), float(v)))
-    return points
+    return _band_rows(spec.kind, spec.mu, y, np.geomspace(v0, spec.V, spec.grid_v),
+                      spec.grid_u)

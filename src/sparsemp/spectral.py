@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import issparse, sparray
 
 from .errors import NumericalError
-from .mplaw import ComplexPoint, _as_complex, _like
+from .mplaw import _as_complex, _like
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,7 @@ def singular_values(a: "np.ndarray | sparray", vectors: bool) -> SpectrumResult:
     return SpectrumResult(singulars=s, left_vectors=u, right_vectors=w)
 
 
-def stieltjes_esd(s2: np.ndarray,
-                  z: "ComplexPoint | complex | np.ndarray") -> "complex | np.ndarray":
+def stieltjes_esd(s2: np.ndarray, z: "complex | np.ndarray") -> "complex | np.ndarray":
     """s_n(z) = (1/n) sum_j z / (s_j^2 - z^2) from the squared singular values s2.
 
     Takes a scalar z or an array of z and returns the same shape.
@@ -117,7 +116,7 @@ def _diag_factors(s: np.ndarray, z: complex) -> tuple[np.ndarray, np.ndarray]:
     return d_proj, d_mid
 
 
-def resolvent(spec: SpectrumResult, z: "ComplexPoint | complex") -> np.ndarray:
+def resolvent(spec: SpectrumResult, z: complex) -> np.ndarray:
     """The (n + m) x (n + m) resolvent of the block matrix from a spectrum with vectors."""
     zc = _as_complex(z)
     u, w = spec.left_vectors, spec.right_vectors
@@ -138,8 +137,7 @@ def _active_rows(factor: np.ndarray, active: np.ndarray) -> np.ndarray:
     return factor if active.all() else factor[active]
 
 
-def resolvent_max_abs(spec: SpectrumResult, z: "ComplexPoint | complex",
-                      chunk: int = 256) -> float:
+def resolvent_max_abs(spec: SpectrumResult, z: complex, chunk: int = 256) -> float:
     """max |R_jk|, pruned by the Ward identity, never materializing R.
 
     Diagonal and Ward bound.  R_jj = sum_i F_ji^2 d_i - 1/z for F = U or W and

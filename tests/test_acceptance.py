@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sparsemp as sm
-from sparsemp import ComplexPoint, DomainSpec, EntryDistribution, ModelParams
+from sparsemp import DomainSpec, EntryDistribution, ModelParams
 from sparsemp.cli import main as cli_main
 
 from conftest import dense_resolvent, gaussian_params

@@ -325,6 +325,28 @@ def test_tn_moments_long_ladder_exit_2(tmp_path):
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+def test_tn_moments_overflowing_s0_exit_2(tmp_path):
+    # s0^2 = 1e400 overflows a float before s0^l v reaches V
+    code, err = run_cli(tmp_path, "tn-moments",
+                        {**TN_MOMENTS, "v": 1e-300, "V": 1e10, "s0": 1e200})
+    assert code == 2
+    assert "s0=1e+200" in err
+
+
+@pytest.mark.parametrize("command, payload", [("audit", AUDIT), ("tn-moments", TN_MOMENTS)])
+@pytest.mark.parametrize("v", [0.0, -0.5, math.nan])
+def test_bad_v_exit_2_before_sampling(tmp_path, monkeypatch, command, payload, v):
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the config was checked")
+
+    monkeypatch.setattr(cli, "sample_matrix", no_sample)
+    monkeypatch.setattr(sm.locallaw, "scaled_sample", no_sample)
+    code, err = run_cli(tmp_path, command, {**payload, "v": v})
+    assert code == 2
+    assert "'v'" in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 def test_config_roundtrips():
     model = ModelParams(n=120, m=240, p=1.0, dist=EntryDistribution.gaussian(),
                         delta=2.0, seed=11)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 import sparsemp as sm
-from sparsemp import (CORRECTION_SIGNS, ComplexPoint, DomainSpec,
-                      IdentityFailureError, ParameterError)
+from sparsemp import (CORRECTION_SIGNS, DomainSpec, IdentityFailureError,
+                      ParameterError)
 
 from conftest import (dense_resolvent, dense_sample, gaussian_params,
                       watch_solver_input)
@@ -270,6 +270,10 @@ def test_ladder_grid_counts():
     assert levels[0] == 0.1
     np.testing.assert_allclose(levels, 0.1 * 2.0 ** np.arange(5), rtol=1e-15, atol=0)
     assert (zs.imag == levels[:, None]).all()
+    # every row in the layout of domain_grid: negative band first, u ascending
+    dom = DomainSpec(kind="d_mu", a0=0.1, V=1.0, n=2000, grid_u=4, grid_v=1, mu=0.2)
+    assert np.array_equal(zs.real, np.broadcast_to(sm.domain_grid(dom, 0.5).real, zs.shape))
+    assert (np.diff(zs.real, axis=1) > 0).all()
     params = gaussian_params(60, 120, 0.5, seed=3)
     s2 = sm.singular_values(sm.sample_matrix(params, 0).scaled, vectors=True).singulars ** 2
     sups = np.abs(sm.lambda_n(s2, zs, 0.5)).max(axis=1)
@@ -298,6 +302,16 @@ def test_ladder_grid_rejects_long_ladder():
                   (1.0 + 2.0 ** -52, 5e-324)):
         with pytest.raises(ParameterError, match="s0"):
             sm.ladder_grid(v, 1.0, s0, y=0.5, mu=0.2, grid_u=1)
+
+
+def test_ladder_grid_rejects_overflowing_s0():
+    # s0^2 overflows before s0^l v reaches V; s0^1 v overflows to inf
+    for v, V, s0 in ((1e-300, 1e10, 1e200), (1e300, 1e305, 1e10)):
+        with pytest.raises(ParameterError, match="s0"):
+            sm.ladder_grid(v, V, s0, y=0.5, mu=0.2, grid_u=2)
+    # an ordinary s0 keeps the levels s0^l v exactly
+    zs = sm.ladder_grid(0.013, 1.0, 1.7, y=0.5, mu=0.2, grid_u=2)
+    assert zs[:, 0].imag.tolist() == [1.7 ** l * 0.013 for l in range(zs.shape[0])]
 
 
 def test_locallaw_scan_plumbing():
@@ -332,8 +346,8 @@ def test_locallaw_scan_max_entry_matches_direct():
     dom = DomainSpec(kind="d_mu", a0=a0, V=1.0, n=n, grid_u=2, grid_v=1, mu=0.2)
     report = sm.locallaw_scan(params, dom, replications=1, C0=1.0, max_entry_stride=1)
     spec = sm.singular_values(sm.sample_matrix(params, 0).scaled, vectors=True)
-    for pt, ps in zip(report.grid, report.per_point):
-        r = sm.resolvent(spec, pt)
+    for z, ps in zip(report.grid, report.per_point):
+        r = sm.resolvent(spec, z)
         assert ps.max_entry == pytest.approx(np.abs(r).max(), abs=1e-12)
 
 
@@ -353,7 +367,7 @@ def test_locallaw_scan_solver_input(monkeypatch, stride, p, route):
 def test_tn_moment_study_solver_input(monkeypatch, q, p, route):
     params = gaussian_params(20, 40, p, seed=29)
     solves = watch_solver_input(monkeypatch, sm.locallaw)
-    res = sm.tn_moment_study(params, ComplexPoint(0.9, 0.5), q=q, replications=1000,
+    res = sm.tn_moment_study(params, complex(0.9, 0.5), q=q, replications=1000,
                              gamma=0.5)
     assert res.survivors > 0
     assert solves == [(route, (20, 40))] * 1000
@@ -369,7 +383,7 @@ def test_tn_moment_study_solves_once_per_replication(monkeypatch):
 
     monkeypatch.setattr(sm.spectral, "_gram", counted)
     params = gaussian_params(20, 40, 0.5, seed=29)
-    res = sm.tn_moment_study(params, ComplexPoint(0.9, 0.5), q=2, replications=1000,
+    res = sm.tn_moment_study(params, complex(0.9, 0.5), q=2, replications=1000,
                              gamma=0.5)
     assert res.survivors > 0
     assert len(calls) == 1000
@@ -399,7 +413,7 @@ def test_locallaw_report_serialization():
 
 def test_tn_moment_study_q0_and_errors():
     params = gaussian_params(20, 40, 0.5, seed=23)
-    z = ComplexPoint(0.9, 0.5)
+    z = complex(0.9, 0.5)
     res = sm.tn_moment_study(params, z, q=0, replications=1000, gamma=10.0)
     assert res.estimate == 1.0
     assert res.survivors == 1000
@@ -411,7 +425,7 @@ def test_tn_moment_study_q0_and_errors():
 
 def test_tn_moment_study_q2_finite():
     params = gaussian_params(20, 40, 0.5, seed=29)
-    z = ComplexPoint(0.9, 0.5)
+    z = complex(0.9, 0.5)
     res = sm.tn_moment_study(params, z, q=2, replications=1000, gamma=0.5)
     assert res.survivors > 0
     assert np.isfinite(res.estimate) and res.estimate > 0
@@ -426,7 +440,7 @@ def test_tn_moment_study_q2_finite():
 
 def test_tn_degenerate_conditioning():
     params = gaussian_params(20, 40, 0.5, seed=31)
-    z = ComplexPoint(0.9, 0.5)
+    z = complex(0.9, 0.5)
     with pytest.raises(sm.DegenerateConditioningError):
         sm.tn_moment_study(params, z, q=0, replications=1000, gamma=0.0)
 

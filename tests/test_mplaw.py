@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import sparsemp as sm
-from sparsemp import ComplexPoint, DomainSpec, ParameterError
+from sparsemp import DomainSpec, ParameterError
 
 from conftest import stieltjes_mp_oracle
 
@@ -94,7 +94,7 @@ def test_stieltjes_rejects_bad_inputs():
     with pytest.raises(ParameterError):
         sm.stieltjes_mp(complex(1.0, -0.1), 0.5)
     with pytest.raises(ParameterError):
-        ComplexPoint(1.0, 0.0)
+        sm.stieltjes_mp(complex(1.0, 0.0), 0.5)
 
 
 def test_density_frozen_value_and_edges():
@@ -176,6 +176,20 @@ def test_gamma_n_frozen_and_properties():
         sm.gamma_n(100, -0.1, 0.1, 1.0)
 
 
+def test_gamma_n_array_matches_scalar_calls():
+    rng = np.random.default_rng(5)
+    for n, p, c0 in ((1000, 0.05, 1.0), (37, 0.9, 2.5), (2, 1e-3, 0.3)):
+        vs = 10.0 ** rng.uniform(-4, 1, size=(3, 5))
+        got = sm.gamma_n(n, p, vs, c0)
+        assert got.shape == vs.shape
+        assert np.array_equal(got, [[sm.gamma_n(n, p, float(v), c0) for v in row]
+                                    for row in vs])
+    assert type(sm.gamma_n(1000, 0.05, 0.1, 1.0)) is float
+    for bad in (0.0, -0.1, math.nan):
+        with pytest.raises(ParameterError):
+            sm.gamma_n(100, 0.1, np.array([0.1, bad]), 1.0)
+
+
 def test_theorem1_gamma_min_form():
     z = complex(1.0, 0.2)
     y = 0.5
@@ -230,17 +244,17 @@ def test_prior_bound_doubling_n_non_increasing():
 def test_domain_grid_dmu_band():
     spec = DomainSpec(kind="d_mu", a0=0.5, V=1.0, n=2000, grid_u=5, grid_v=4, mu=0.2)
     pts = sm.domain_grid(spec, 0.25)
-    assert len(pts) == 2 * 5 * 4
-    for pt in pts:
-        assert 0.7 - 1e-12 <= abs(pt.u) <= 1.3 + 1e-12
-        assert spec.v0 - 1e-12 <= pt.v <= 1.0 + 1e-12
+    assert pts.shape == (4, 2 * 5)
+    for z in pts.ravel().tolist():
+        assert 0.7 - 1e-12 <= abs(z.real) <= 1.3 + 1e-12
+        assert spec.v0 - 1e-12 <= z.imag <= 1.0 + 1e-12
 
 
 def test_domain_grid_degenerate_two_points():
     spec = DomainSpec(kind="d_mu", a0=0.5, V=1.0, n=2000, grid_u=1, grid_v=1, mu=0.2)
     pts = sm.domain_grid(spec, 0.25)
-    assert len(pts) == 2
-    assert pts[0].u == -pts[1].u
+    assert pts.shape == (1, 2)
+    assert pts[0, 0].real == -pts[0, 1].real
 
 
 def test_domain_grid_v0_exceeds_V():
@@ -261,8 +275,24 @@ def test_domain_grid_da0_band_tracks_v():
     spec = DomainSpec(kind="d_a0", a0=0.5, V=1.0, n=2000, grid_u=4, grid_v=3)
     pts = sm.domain_grid(spec, 0.25)
     r = 0.5
-    for pt in pts:
-        assert max(1 - r - pt.v, 0.0) - 1e-12 <= abs(pt.u) <= 1 + r + pt.v + 1e-12
+    for z in pts.ravel().tolist():
+        assert max(1 - r - z.imag, 0.0) - 1e-12 <= abs(z.real) <= 1 + r + z.imag + 1e-12
+
+
+def test_domain_grid_order_and_signed_zero():
+    # y = 0.25, V = 1: the d_a0 band's lower edge max(1 - sqrt(y) - v, 0) is 0
+    # for v >= 0.5, so the negative band starts its row at u = -0.0
+    spec = DomainSpec(kind="d_a0", a0=0.5, V=1.0, n=2000, grid_u=3, grid_v=3)
+    grid = sm.domain_grid(spec, 0.25)
+    want = []
+    for v in np.geomspace(spec.v0, 1.0, 3).tolist():
+        us = np.linspace(max(0.5 - v, 0.0), 1.5 + v, 3).tolist()
+        want += [complex(-u, v) for u in us[::-1]] + [complex(u, v) for u in us]
+    assert grid.shape == (3, 6)
+    assert np.array_equal(grid.ravel(), want)
+    assert np.array_equal(np.signbit(grid.real).ravel(), np.signbit([z.real for z in want]))
+    assert np.signbit(grid[-1, 2].real) and grid[-1, 2].real == 0.0
+    assert not np.signbit(grid[-1, 3].real) and grid[-1, 3].real == 0.0
 
 
 def test_min_abs_b_nondecreasing_in_mu():
@@ -271,6 +301,6 @@ def test_min_abs_b_nondecreasing_in_mu():
     for mu in (0.05, 0.1, 0.2, 0.3):
         spec = DomainSpec(kind="d_mu", a0=0.2, V=1.0, n=2000, grid_u=8, grid_v=6, mu=mu)
         pts = sm.domain_grid(spec, y)
-        eps.append(min(abs(sm.b_function(pt, y)) for pt in pts))
+        eps.append(min(abs(sm.b_function(z, y)) for z in pts.ravel().tolist()))
     assert eps[0] > 0
     assert all(b >= a - 1e-12 for a, b in zip(eps, eps[1:]))
