@@ -199,8 +199,8 @@ class ConcentrationConfig:
 
 def _check_v(v: float) -> None:
     """Reject a spectral parameter off the upper half-plane before any sample is drawn."""
-    if not (v > 0.0):   # also rejects NaN
-        raise ParameterError(f"config key 'v' must be positive, got {v!r}")
+    if not (0.0 < v < math.inf):   # also rejects NaN
+        raise ParameterError(f"config key 'v' must be positive and finite, got {v!r}")
 
 
 @dataclass(frozen=True)

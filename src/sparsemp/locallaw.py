@@ -219,8 +219,8 @@ def ladder_grid(v: float, V: float, s0: float, y: float, mu: float,
     """
     if not (1.0 < s0 < math.inf):
         raise ParameterError(f"s0 must exceed 1 and be finite, got {s0!r}")
-    if not (0.0 < v):
-        raise ParameterError(f"v must be positive, got {v!r}")
+    if not (0.0 < v < math.inf):
+        raise ParameterError(f"v must be positive and finite, got {v!r}")
     if not (mu > 0.0):
         raise ParameterError(f"d_mu domain needs mu > 0, got {mu!r}")
     if not (0.0 < V < math.inf):

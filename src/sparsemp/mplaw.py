@@ -241,7 +241,7 @@ def _band_rows(kind: str, mu: float, y: float, vs: np.ndarray, grid_u: int) -> n
     The real and imaginary parts are assigned separately, so a band edge at
     u = 0 stays -0.0 in the negative band; ``-u + 1j * v`` would turn it into 0.0.
     """
-    r = math.sqrt(y)
+    r = math.sqrt(_check_y(y))
     if kind == D_MU:
         lo, hi = np.full_like(vs, 1.0 - r + mu), np.full_like(vs, 1.0 + r - mu)
     else:
@@ -263,7 +263,6 @@ def domain_grid(spec: DomainSpec, y: float) -> np.ndarray:
     each band, negative band first, u ascending.  ``ravel()`` gives the
     deterministic serialization order of the local-law reports.
     """
-    _check_y(y)
     v0 = spec.v0
     if v0 > spec.V:
         raise ParameterError(

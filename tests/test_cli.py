@@ -334,7 +334,7 @@ def test_tn_moments_overflowing_s0_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("command, payload", [("audit", AUDIT), ("tn-moments", TN_MOMENTS)])
-@pytest.mark.parametrize("v", [0.0, -0.5, math.nan])
+@pytest.mark.parametrize("v", [0.0, -0.5, math.nan, math.inf])
 def test_bad_v_exit_2_before_sampling(tmp_path, monkeypatch, command, payload, v):
     def no_sample(*args, **kwargs):
         raise AssertionError("a sample was drawn before the config was checked")

@@ -288,8 +288,8 @@ def test_ladder_grid_counts():
     assert flags.any() and not flags.all()
     # the first level already at V: one level
     assert sm.ladder_grid(1.5, 1.0, 2.0, y=0.5, mu=0.2, grid_u=4).shape == (1, 8)
-    for bad in ({"s0": 1.0}, {"s0": math.inf}, {"v": 0.0}, {"mu": 0.0}, {"mu": 0.8},
-                {"V": math.nan}, {"V": math.inf}, {"grid_u": 0}):
+    for bad in ({"s0": 1.0}, {"s0": math.inf}, {"v": 0.0}, {"v": math.inf}, {"mu": 0.0},
+                {"mu": 0.8}, {"y": 1.0}, {"V": math.nan}, {"V": math.inf}, {"grid_u": 0}):
         with pytest.raises(ParameterError):
             sm.ladder_grid(**{"v": 0.1, "V": 1.0, "s0": 2.0, "y": 0.5, "mu": 0.2,
                               "grid_u": 4, **bad})
